@@ -24,13 +24,14 @@ from .network import Disruption, Graph
 from .pipeline import (
     InterferenceConfig,
     DayCounts,
+    DisruptionFeatures,
     PerturbedObservation,
-    input_variable_samples,
+    disruption_features,
     natural_roi_totals,
-    predict,
-    resolve_rho,
+    predict_from_features,
+    resolve_rho_from_features,
     roi_exit_vector,
-    train,
+    train_from_features,
 )
 from .sampler import sample_from_mixture
 from .simplex_qp import SimplexQPError
@@ -248,25 +249,40 @@ def score_disruptions(
     Disruptions whose scores are undefined (no feasible traffic, missing
     disruption-day data) are reported on stderr and dropped.
     """
+    scores, _ = _score_and_featurise(days, disruptions, g, cfg, top_n)
+    return scores
+
+
+def _score_and_featurise(
+    days: Mapping[int, DayCounts],
+    disruptions: Sequence[Disruption],
+    g: Graph,
+    cfg: InterferenceConfig,
+    top_n: int,
+) -> tuple[list[ScoreRecord], dict[int, DisruptionFeatures]]:
+    """score_disruptions, plus the features of every scored disruption by id."""
     natural_days = _natural_pool(days, disruptions)
     scored: list[tuple[int, float, float]] = []
+    features: dict[int, DisruptionFeatures] = {}
     for k, z in enumerate(disruptions):
         try:
             if z.day not in days:
                 raise ValueError(f"no journey data for disruption day {z.day}")
-            naturals = [dc for dc in natural_days if dc.day != z.day]
-            x1, x2, x3, _, _ = input_variable_samples(naturals, z, g, cfg)
+            f = disruption_features(natural_days, z, g, cfg)
+            x1, x2, x3, _, _ = f.inputs
             obs_score = observable_score(x1.samples, x2.samples)
             sev = severity_score(days[z.day], np.mean(x3.samples, axis=0), z)
         except ValueError as exc:
             print(f"score: skipping disruption {k}: {exc}", file=sys.stderr)
             continue
         scored.append((k, obs_score, sev))
+        features[k] = f
     selected = select_top([(k, s) for k, s, _ in scored], min(top_n, len(scored)))
-    return [
+    scores = [
         ScoreRecord(disruption_id=k, observable=s, severity=sev, selected=k in selected)
         for k, s, sev in scored
     ]
+    return scores, features
 
 
 def _natural_pool(
@@ -298,12 +314,12 @@ def run_evaluation(
     (training disruptions of each fold; the usual discipline) or
     "global" (all selected disruptions once, as the paper did for speed).
     One failing disruption is reported and skipped without aborting the
-    run.
+    run. Each disruption's features are built once, while scoring, and
+    reused by every fold.
     """
     if rho_mode not in ("per-fold", "global"):
         raise ValueError(f"unknown rho_mode {rho_mode!r}")
-    natural_days = _natural_pool(days, disruptions)
-    scores = score_disruptions(days, disruptions, g, cfg, top_n)
+    scores, features = _score_and_featurise(days, disruptions, g, cfg, top_n)
     selected_ids = sorted(r.disruption_id for r in scores if r.selected)
     observations = {
         k: PerturbedObservation.from_day_counts(days[disruptions[k].day], disruptions[k])
@@ -314,7 +330,9 @@ def run_evaluation(
     cfg_global = cfg
     if cfg.rho is None and rho_mode == "global":
         cfg_global = cfg.with_rho(
-            resolve_rho(natural_days, [observations[k] for k in selected_ids], g, cfg)
+            resolve_rho_from_features(
+                [observations[k] for k in selected_ids], [features[k] for k in selected_ids], cfg
+            )
         )
 
     records: list[EvalRecord] = []
@@ -322,25 +340,24 @@ def run_evaluation(
     for fold_id, (train_ids, test_ids) in enumerate(folds):
         assert not set(train_ids) & set(test_ids), "train/test folds overlap"
         train_obs = [observations[k] for k in train_ids]
+        train_features = [features[k] for k in train_ids]
         fold_cfg = cfg_global
         if fold_cfg.rho is None:
-            fold_cfg = cfg.with_rho(resolve_rho(natural_days, train_obs, g, cfg))
-        model = train(natural_days, train_obs, g, fold_cfg)
+            fold_cfg = cfg.with_rho(resolve_rho_from_features(train_obs, train_features, cfg))
+        model = train_from_features(train_obs, train_features, fold_cfg)
         for k in test_ids:
             assert k not in train_ids, "out-of-sample discipline violated"
             z = disruptions[k]
             obs_vec = observations[k].exit_vector
             try:
-                mixture, model_samples = predict(
+                mixture, model_samples = predict_from_features(
                     model,
-                    natural_days,
-                    z,
-                    g,
+                    features[k],
                     fold_cfg,
                     n_samples,
                     _derived_seed(seed, fold_id, k, 0),
                 )
-                baseline_samples = baseline_model(natural_days, z)
+                baseline_samples = features[k].totals
                 random_samples = random_model(
                     mixture.basis, _derived_seed(seed, fold_id, k, 1), n_samples
                 )
@@ -385,13 +402,20 @@ def run_evaluation(
 
 def _marginal_density(samples: SampleSet, coord: int, y_grid: np.ndarray) -> np.ndarray:
     h = silverman_h(samples)[coord]
-    col = samples.samples[:, coord][:, None]
-    dens = np.empty(y_grid.shape[0])
-    for i, y in enumerate(y_grid):
-        a = -h * (y - col[:, 0]) ** 2
-        m = float(np.max(a))
-        dens[i] = math.exp(m) * float(np.sum(np.exp(a - m))) * math.sqrt(h / math.pi) / col.shape[0]
-    return dens
+    col = samples.samples[:, coord]
+    # one (grid, samples) buffer, updated in place: -h * (y - s)^2, then exp(a - max)
+    a = y_grid[:, None] - col[None, :]
+    np.square(a, out=a)
+    np.multiply(a, -h, out=a)
+    m = np.max(a, axis=1)
+    np.subtract(a, m[:, None], out=a)
+    np.exp(a, out=a)
+    sums = np.sum(a, axis=1)
+    scale = math.sqrt(h / math.pi)
+    n = col.shape[0]
+    # the per-point tail stays in scalar math, in this order, so every
+    # density value is bit-identical to summing one grid point at a time
+    return np.array([math.exp(mi) * si * scale / n for mi, si in zip(m.tolist(), sums.tolist())])
 
 
 def _fmt(x: float) -> str:

@@ -84,6 +84,31 @@ def _simplex_grid(n: int, step: float) -> np.ndarray:
     return np.array(pts)
 
 
+def _support_enumeration_min(G: np.ndarray, b: np.ndarray) -> float:
+    """Simplex QP optimum by trying every support.
+
+    For each nonempty support S, the stationary point of the objective on
+    {theta_S . 1 = 1} solves a (|S|+1)-square KKT system; the optimum is the
+    best of those points that are nonnegative.
+    """
+    n = b.shape[0]
+    best = np.inf
+    for mask in range(1, 2**n):
+        S = [i for i in range(n) if mask >> i & 1]
+        k = len(S)
+        K = np.zeros((k + 1, k + 1))
+        K[:k, :k] = 2.0 * G[np.ix_(S, S)]
+        K[:k, k] = 1.0
+        K[k, :k] = 1.0
+        sol = np.linalg.solve(K, np.append(2.0 * b[S], 1.0))
+        if np.min(sol[:k]) < 0.0:
+            continue
+        theta = np.zeros(n)
+        theta[S] = sol[:k]
+        best = min(best, float(theta @ G @ theta - 2.0 * b @ theta))
+    return best
+
+
 def _qp_suite() -> list[OracleCase]:
     rng = np.random.default_rng(20240602)
     cases = []
@@ -103,6 +128,26 @@ def _qp_suite() -> list[OracleCase]:
                 name=f"qp/grid-n{n}-{trial}",
                 passed=ok,
                 detail=f"gap={gap:.3e} kkt={sol.kkt_residual:.3e}",
+            )
+        )
+    # ill-conditioned Grams, eigenvalues spanning 1 .. 1e-7 like those of
+    # near-duplicate basis components, with the target near a sparse mixture
+    for trial in range(10):
+        n = 4 + trial % 5
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        G = (Q * np.geomspace(1.0, 1e-7, n)) @ Q.T
+        G = (G + G.T) / 2.0
+        w = rng.random(n) * (rng.random(n) >= 0.3)
+        w = w / np.sum(w) if np.sum(w) > 0 else np.full(n, 1.0 / n)
+        b = G @ w + 1e-3 * rng.normal(size=n)
+        sol = simplex_qp.solve(simplex_qp.SimplexQPProblem(G=G, b=b))
+        gap = sol.objective - _support_enumeration_min(G, b)
+        ok = abs(gap) <= 1e-9 and sol.kkt_residual <= 1e-8
+        cases.append(
+            OracleCase(
+                name=f"qp/support-enum-n{n}-{trial}",
+                passed=ok,
+                detail=f"gap={gap:.3e} kkt={sol.kkt_residual:.3e} iterations={sol.iterations}",
             )
         )
     return cases

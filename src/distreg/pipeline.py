@@ -28,6 +28,7 @@ exit minute) -> count, never a dense array.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,11 +54,16 @@ __all__ = [
     "roi_exit_vector",
     "natural_roi_totals",
     "input_variable_samples",
+    "DisruptionFeatures",
+    "disruption_features",
     "decay_inputs",
     "resolve_rho",
+    "resolve_rho_from_features",
     "train",
+    "train_from_features",
     "build_basis",
     "predict",
+    "predict_from_features",
     "N_TUBE_INPUTS",
 ]
 
@@ -186,31 +192,24 @@ def aggregate_day(
     return DayCounts(day=day, counts=counts)
 
 
+def _window_exits(days: Sequence[DayCounts], z: Disruption):
+    """(day row, ROI index, origin, count) for every exit at an ROI station inside the window."""
+    pos = {station: j for j, station in enumerate(z.roi)}
+    for row, dc in enumerate(days):
+        for (o, d, t), c in dc.counts.items():
+            j = pos.get(d)
+            if j is not None and z.t_start <= t <= z.t_end:
+                yield row, j, o, c
+
+
 def roi_exit_vector(dc: DayCounts, z: Disruption) -> np.ndarray:
     """Exits at each ROI station summed over all origins and the disruption window."""
     if dc.day != z.day:
         raise ValueError(f"day mismatch: counts are for day {dc.day}, disruption is day {z.day}")
-    pos = {station: j for j, station in enumerate(z.roi)}
     vec = np.zeros(len(z.roi), dtype=np.int64)
-    for (o, d, t), c in dc.counts.items():
-        j = pos.get(d)
-        if j is not None and z.t_start <= t <= z.t_end:
-            vec[j] += c
+    for _, j, _, c in _window_exits([dc], z):
+        vec[j] += c
     return vec
-
-
-def _window_roi_rows(
-    days: Sequence[DayCounts], z: Disruption
-) -> np.ndarray:
-    """Per-day ROI exit totals within the disruption window, one row per day."""
-    pos = {station: j for j, station in enumerate(z.roi)}
-    rows = np.zeros((len(days), len(z.roi)))
-    for n, dc in enumerate(days):
-        for (o, d, t), c in dc.counts.items():
-            j = pos.get(d)
-            if j is not None and z.t_start <= t <= z.t_end:
-                rows[n, j] += c
-    return rows
 
 
 def _sorted_natural_days(natural_days: Sequence[DayCounts], z: Disruption) -> list[DayCounts]:
@@ -242,22 +241,17 @@ def input_variable_samples(
             for station in z.roi
         ]
     )
-    pos = {station: j for j, station in enumerate(z.roi)}
     m = len(z.roi)
     n = len(days)
     x1 = np.zeros((n, m))
     x2 = np.zeros((n, m))
     x3 = np.zeros((n, m))
-    for row, dc in enumerate(days):
-        for (o, d, t), c in dc.counts.items():
-            j = pos.get(d)
-            if j is None or not (z.t_start <= t <= z.t_end):
-                continue
-            x3[row, j] += c
-            if masks[j, o]:
-                x1[row, j] += c
-            else:
-                x2[row, j] += c
+    for row, j, o, c in _window_exits(days, z):
+        x3[row, j] += c
+        if masks[j, o]:
+            x1[row, j] += c
+        else:
+            x2[row, j] += c
     col_means = np.mean(x3, axis=0)
     x4 = np.tile(col_means, (n, 1))
     roi_totals = np.sum(x3, axis=1)
@@ -298,22 +292,51 @@ def decay_inputs(
     return tuple(out)
 
 
-def _disruption_pools(
+@dataclass(frozen=True, eq=False)
+class DisruptionFeatures:
+    """One disruption's input variables X1..X5 over its natural days, built once.
+
+    X3's rows are the per-day natural ROI window totals, so the baseline
+    model and the rescaled-marginal basis derive from them without another
+    scan of the day counts. `cfg` is the configuration the inputs were
+    built with; only its rescale levels and span enter the basis rows.
+    """
+
+    disruption: Disruption
+    inputs: tuple[SampleSet, SampleSet, SampleSet, SampleSet, SampleSet]
+    cfg: InterferenceConfig
+
+    @property
+    def totals(self) -> SampleSet:
+        """The natural ROI window totals (X3), one row per natural day."""
+        return self.inputs[2]
+
+    @cached_property
+    def basis_rows(self) -> tuple[np.ndarray, list[str]]:
+        """Stacked rescaled-marginal basis rows and their labels (see build_basis)."""
+        return _basis_rows(self.totals.samples, self.disruption, self.cfg)
+
+
+def disruption_features(
+    natural_days: Sequence[DayCounts],
+    z: Disruption,
+    g: Graph,
+    cfg: InterferenceConfig,
+) -> DisruptionFeatures:
+    """X1..X5 for one disruption, computed from the natural days other than its own."""
+    naturals = [dc for dc in natural_days if dc.day != z.day]
+    return DisruptionFeatures(
+        disruption=z, inputs=input_variable_samples(naturals, z, g, cfg), cfg=cfg
+    )
+
+
+def _features(
     natural_days: Sequence[DayCounts],
     observations: Sequence[PerturbedObservation],
     g: Graph,
     cfg: InterferenceConfig,
-) -> list[np.ndarray]:
-    pools = []
-    for obs in observations:
-        z = obs.disruption
-        naturals = [dc for dc in natural_days if dc.day != z.day]
-        sets = input_variable_samples(naturals, z, g, cfg)
-        rows = [s.samples for s in sets]
-        rows.append(obs.exit_vector[None, :])
-        rows.append(_basis_rows(naturals, z, cfg)[0])
-        pools.append(np.vstack(rows))
-    return pools
+) -> list[DisruptionFeatures]:
+    return [disruption_features(natural_days, obs.disruption, g, cfg) for obs in observations]
 
 
 def resolve_rho(
@@ -331,9 +354,22 @@ def resolve_rho(
     pairwise distances (dimensions differ across disruptions, distances
     pool fine).
     """
+    features = _features(natural_days, observations, g, cfg)
+    return resolve_rho_from_features(observations, features, cfg)
+
+
+def resolve_rho_from_features(
+    observations: Sequence[PerturbedObservation],
+    features: Sequence[DisruptionFeatures],
+    cfg: InterferenceConfig,
+) -> float:
+    """resolve_rho on precomputed features, one per observation and in the same order."""
     all_dists = []
-    for pool in _disruption_pools(natural_days, observations, g, cfg):
-        pool = subsample_rows(pool)
+    for obs, f in zip(observations, features, strict=True):
+        rows = [s.samples for s in f.inputs]
+        rows.append(obs.exit_vector[None, :])
+        rows.append(f.basis_rows[0])
+        pool = subsample_rows(np.vstack(rows))
         all_dists.append(pairwise_distances(pool, cfg.kernel_family))
     dists = np.concatenate(all_dists)
     m = float(np.median(dists))
@@ -357,6 +393,15 @@ def train(
     passed in are filtered per disruption so a disruption never sees its
     own day.
     """
+    return train_from_features(observations, _features(natural_days, observations, g, cfg), cfg)
+
+
+def train_from_features(
+    observations: Sequence[PerturbedObservation],
+    features: Sequence[DisruptionFeatures],
+    cfg: InterferenceConfig,
+) -> MixtureEmbeddingModel:
+    """train on precomputed features, one per observation and in the same order."""
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
     if cfg.n_inputs != N_TUBE_INPUTS:
@@ -366,11 +411,8 @@ def train(
     kernel = cfg.kernel()
     inputs = []
     outputs = []
-    for obs in observations:
-        z = obs.disruption
-        naturals = [dc for dc in natural_days if dc.day != z.day]
-        sets = input_variable_samples(naturals, z, g, cfg)
-        inputs.append(tuple(embed(kernel, s) for s in sets))
+    for obs, f in zip(observations, features, strict=True):
+        inputs.append(tuple(embed(kernel, s) for s in f.inputs))
         outputs.append(embed(kernel, SampleSet(obs.exit_vector[None, :])))
     pairs = TrainingPairs(inputs=tuple(inputs), outputs=tuple(outputs))
     return fit_mixture_embeddings(pairs, ridge=cfg.ridge)
@@ -379,16 +421,18 @@ def train(
 def natural_roi_totals(natural_days: Sequence[DayCounts], z: Disruption) -> np.ndarray:
     """Per-day, per-ROI-station window exit totals (the X3 rows), one row per day."""
     days = _sorted_natural_days(natural_days, z)
-    return _window_roi_rows(days, z)
+    rows = np.zeros((len(days), len(z.roi)))
+    for row, j, _, c in _window_exits(days, z):
+        rows[row, j] += c
+    return rows
 
 
 def _basis_rows(
-    natural_days: Sequence[DayCounts],
+    totals: np.ndarray,
     z: Disruption,
     cfg: InterferenceConfig,
 ) -> tuple[np.ndarray, list[str]]:
     """Stacked per-component sample rows of the rescaled-marginal basis."""
-    totals = natural_roi_totals(natural_days, z)
     n_days, m = totals.shape
     mean_max = float(np.max(np.mean(totals, axis=0)))
     if mean_max <= 0.0:
@@ -407,6 +451,14 @@ def _basis_rows(
     return np.vstack(blocks), labels
 
 
+def _basis(stacked: np.ndarray, labels: Sequence[str], kernel: KernelConfig) -> Basis:
+    n_days = stacked.shape[0] // len(labels)
+    components = [
+        SampleSet(stacked[i * n_days : (i + 1) * n_days]) for i in range(len(labels))
+    ]
+    return Basis.from_components(kernel, components, labels)
+
+
 def build_basis(
     natural_days: Sequence[DayCounts],
     z_new: Disruption,
@@ -419,13 +471,8 @@ def build_basis(
     coordinates zero), for r = 1..R with lambda_r = 1 + (r - 1) C and
     C = c * max_j mean-total / (R - 1).
     """
-    stacked, labels = _basis_rows(natural_days, z_new, cfg)
-    n_days = stacked.shape[0] // len(labels)
-    kernel = cfg.kernel()
-    components = [
-        SampleSet(stacked[i * n_days : (i + 1) * n_days]) for i in range(len(labels))
-    ]
-    return Basis.from_components(kernel, components, labels)
+    stacked, labels = _basis_rows(natural_roi_totals(natural_days, z_new), z_new, cfg)
+    return _basis(stacked, labels, cfg.kernel())
 
 
 def predict(
@@ -438,13 +485,23 @@ def predict(
     seed: int,
 ) -> tuple[FittedMixture, SampleSet]:
     """Predict the perturbed exit distribution for a new disruption and sample from it."""
+    features = disruption_features(natural_days, z_new, g, cfg)
+    return predict_from_features(model, features, cfg, n_samples, seed)
+
+
+def predict_from_features(
+    model: MixtureEmbeddingModel,
+    features: DisruptionFeatures,
+    cfg: InterferenceConfig,
+    n_samples: int,
+    seed: int,
+) -> tuple[FittedMixture, SampleSet]:
+    """predict on the new disruption's precomputed features."""
     if model.arity != N_TUBE_INPUTS:
         raise ValueError(f"model has arity {model.arity}, expected {N_TUBE_INPUTS}")
     kernel = cfg.kernel()
-    naturals = [dc for dc in natural_days if dc.day != z_new.day]
-    sets = input_variable_samples(naturals, z_new, g, cfg)
-    predicted = predict_embedding(model, [embed(kernel, s) for s in sets])
-    basis = build_basis(naturals, z_new, cfg)
+    predicted = predict_embedding(model, [embed(kernel, s) for s in features.inputs])
+    basis = _basis(*features.basis_rows, kernel)
     mixture = fit_mixture_weights(predicted, basis)
     samples = sample_mixture(mixture, n_samples, seed)
     return mixture, samples

@@ -251,7 +251,7 @@ def fit_mixture_embeddings(
 def fit_mixture_distributions(pairs: TrainingPairs) -> MixtureDistributionModel:
     """Simplex-constrained mixture weights on the same normal-equation quadratic."""
     G, b = _normal_equations(pairs)
-    sol = solve(SimplexQPProblem(G=G, b=b), max_iter=500_000)
+    sol = solve(SimplexQPProblem(G=G, b=b))
     return MixtureDistributionModel(w=sol.theta)
 
 

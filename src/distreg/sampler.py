@@ -123,9 +123,7 @@ def fit_mixture_weights(target: Embedding, basis: Basis) -> FittedMixture:
             G[i, j] = v
             G[j, i] = v
     b = np.array([inner(e, target) for e in basis.embeddings])
-    # near-duplicate basis components make G ill conditioned and the
-    # projected gradient slow; give it a generous iteration budget
-    sol = solve(SimplexQPProblem(G=G, b=b), max_iter=500_000)
+    sol = solve(SimplexQPProblem(G=G, b=b))
     theta = sol.theta
     quad = float(np.sum(theta * np.sum(G * theta[None, :], axis=1)))
     res2 = inner(target, target) - 2.0 * float(np.sum(b * theta)) + quad
@@ -145,12 +143,12 @@ def sample_from_mixture(basis: Basis, theta, n: int, seed: int) -> SampleSet:
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top against rounding below 1
     comp_idx = np.searchsorted(cdf, u[:, 0], side="right")
     comp_idx = np.minimum(comp_idx, len(basis) - 1)
-    out = np.empty((n, basis.dim))
-    for i in range(n):
-        samples = basis.components[int(comp_idx[i])].samples
-        j = min(int(u[i, 1] * samples.shape[0]), samples.shape[0] - 1)
-        out[i] = samples[j]
-    return SampleSet(out)
+    sizes = np.array([len(c) for c in basis.components])
+    starts = np.cumsum(sizes) - sizes
+    size = sizes[comp_idx]
+    j = np.minimum((u[:, 1] * size).astype(np.int64), size - 1)
+    stacked = np.vstack([c.samples for c in basis.components])
+    return SampleSet(stacked[starts[comp_idx] + j])
 
 
 def sample_mixture(m: FittedMixture, n: int, seed: int) -> SampleSet:

@@ -1,11 +1,12 @@
 """Scoring, KDE likelihoods, k-fold protocol, and model-comparison tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from distreg import GAUSSIAN, KernelConfig
+from distreg import GAUSSIAN, KernelConfig, pipeline
 from distreg.data_io import SyntheticScenario, generate_synthetic
 from distreg.evaluation import (
     baseline_model,
@@ -340,6 +341,38 @@ class TestRunEvaluation:
             n_folds=2, top_n=20, seed=0, n_samples=40, rho_mode="global",
         )
         assert len(records) >= 3
+
+    @pytest.mark.parametrize("rho_mode", ["per-fold", "global"])
+    def test_features_built_once_per_disruption(self, monkeypatch, rho_mode):
+        # the criterion-9 grid; every distreg module that binds the feature
+        # builder gets the counting wrapper, so no call escapes the count
+        scenario = SyntheticScenario(
+            topology="grid", n_nodes=12, days=10, n_disruptions=4, phi=0.8,
+            rate_low=0.8, rate_high=1.6, window_min=80, window_max=140, seed=11,
+        )
+        ds = generate_synthetic(scenario)
+        days = {
+            d: aggregate_day(recs, d, scenario.n_nodes, ds.t_window)
+            for d, recs in ds.journeys.items()
+        }
+        original = pipeline.input_variable_samples
+        calls = []
+
+        def counting(natural_days, z, g, cfg):
+            calls.append(z)
+            return original(natural_days, z, g, cfg)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] == "distreg":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        _, records = run_evaluation(
+            days, ds.disruptions, ds.graph, InterferenceConfig(), out_dir=None,
+            n_folds=2, top_n=20, seed=0, n_samples=50, rho_mode=rho_mode,
+        )
+        assert len(records) == len(ds.disruptions)
+        assert calls == list(ds.disruptions)
 
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()

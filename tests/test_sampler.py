@@ -17,6 +17,7 @@ from distreg.sampler import (
     FittedMixture,
     expectation_gap,
     fit_mixture_weights,
+    sample_from_mixture,
     sample_mixture,
 )
 
@@ -144,6 +145,32 @@ class TestSampleMixture:
             draws = sample_mixture(fm, n, seed=13)
             gaps.append(mmd2(embed(K, draws), exact))
         assert gaps[2] < gaps[0]
+
+    def test_matches_per_draw_loop(self):
+        # reference: pick each draw's component by inverse CDF, then its row, one draw at a time
+        def loop_reference(basis, theta, n, seed):
+            u = np.random.Generator(np.random.Philox(key=seed)).random((n, 2))
+            cdf = np.cumsum(theta)
+            cdf[-1] = max(cdf[-1], 1.0)
+            out = np.empty((n, basis.dim))
+            for i in range(n):
+                c = min(int(np.searchsorted(cdf, u[i, 0], side="right")), len(basis) - 1)
+                samples = basis.components[c].samples
+                out[i] = samples[min(int(u[i, 1] * samples.shape[0]), samples.shape[0] - 1)]
+            return out
+
+        rng = np.random.default_rng(14)
+        for trial in range(20):
+            dim = int(rng.integers(1, 4))
+            sizes = rng.integers(1, 30, size=int(rng.integers(1, 7)))
+            basis = Basis.from_components(
+                K, [SampleSet(rng.normal(size=(int(m), dim))) for m in sizes]
+            )
+            theta = rng.random(len(basis)) * (rng.random(len(basis)) < 0.7)
+            theta = theta / theta.sum() if theta.sum() > 0 else np.full(len(basis), 1.0 / len(basis))
+            n = int(rng.integers(1, 300))
+            got = sample_from_mixture(basis, theta, n, seed=trial)
+            assert np.array_equal(got.samples, loop_reference(basis, theta, n, trial))
 
     def test_n_must_be_positive(self):
         rng = np.random.default_rng(13)

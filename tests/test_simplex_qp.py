@@ -122,6 +122,25 @@ class TestSolve:
         sol = solve(SimplexQPProblem(G=np.zeros((3, 3)), b=np.array([0.1, 0.9, 0.3])))
         assert sol.theta == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
 
+    def test_ill_conditioned_grams_converge_fast(self):
+        # eigenvalues spanning 1 .. 1e-7, like the Grams of near-duplicate basis
+        # components, with the target near a sparse mixture; a fixed-step
+        # projected gradient needs about 100,000 iterations on these 20 problems,
+        # so the bound fails if the acceleration is lost
+        rng = np.random.default_rng(5)
+        total = 0
+        for trial in range(20):
+            n = 4 + trial % 5
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            G = (Q * np.geomspace(1.0, 1e-7, n)) @ Q.T
+            G = (G + G.T) / 2.0
+            w = rng.random(n) * (rng.random(n) >= 0.3)
+            w = w / np.sum(w) if np.sum(w) > 0 else np.full(n, 1.0 / n)
+            sol = solve(SimplexQPProblem(G=G, b=G @ w + 1e-3 * rng.normal(size=n)))
+            assert sol.kkt_residual <= 1e-8
+            total += sol.iterations
+        assert total <= 10_000
+
     def test_max_iter_error_carries_diagnostics(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(4, 4))
