@@ -24,14 +24,13 @@ from .network import Disruption, Graph
 from .pipeline import (
     InterferenceConfig,
     DayCounts,
-    DisruptionFeatures,
     PerturbedObservation,
-    disruption_features,
+    input_variable_samples,
     natural_roi_totals,
-    predict_from_features,
-    resolve_rho_from_features,
+    predict,
+    resolve_rho,
     roi_exit_vector,
-    train_from_features,
+    train,
 )
 from .sampler import sample_from_mixture
 from .simplex_qp import SimplexQPError
@@ -249,40 +248,25 @@ def score_disruptions(
     Disruptions whose scores are undefined (no feasible traffic, missing
     disruption-day data) are reported on stderr and dropped.
     """
-    scores, _ = _score_and_featurise(days, disruptions, g, cfg, top_n)
-    return scores
-
-
-def _score_and_featurise(
-    days: Mapping[int, DayCounts],
-    disruptions: Sequence[Disruption],
-    g: Graph,
-    cfg: InterferenceConfig,
-    top_n: int,
-) -> tuple[list[ScoreRecord], dict[int, DisruptionFeatures]]:
-    """score_disruptions, plus the features of every scored disruption by id."""
     natural_days = _natural_pool(days, disruptions)
     scored: list[tuple[int, float, float]] = []
-    features: dict[int, DisruptionFeatures] = {}
     for k, z in enumerate(disruptions):
         try:
             if z.day not in days:
                 raise ValueError(f"no journey data for disruption day {z.day}")
-            f = disruption_features(natural_days, z, g, cfg)
-            x1, x2, x3, _, _ = f.inputs
+            naturals = [dc for dc in natural_days if dc.day != z.day]
+            x1, x2, x3, _, _ = input_variable_samples(naturals, z, g, cfg)
             obs_score = observable_score(x1.samples, x2.samples)
             sev = severity_score(days[z.day], np.mean(x3.samples, axis=0), z)
         except ValueError as exc:
             print(f"score: skipping disruption {k}: {exc}", file=sys.stderr)
             continue
         scored.append((k, obs_score, sev))
-        features[k] = f
     selected = select_top([(k, s) for k, s, _ in scored], min(top_n, len(scored)))
-    scores = [
+    return [
         ScoreRecord(disruption_id=k, observable=s, severity=sev, selected=k in selected)
         for k, s, sev in scored
     ]
-    return scores, features
 
 
 def _natural_pool(
@@ -314,12 +298,12 @@ def run_evaluation(
     (training disruptions of each fold; the usual discipline) or
     "global" (all selected disruptions once, as the paper did for speed).
     One failing disruption is reported and skipped without aborting the
-    run. Each disruption's features are built once, while scoring, and
-    reused by every fold.
+    run.
     """
     if rho_mode not in ("per-fold", "global"):
         raise ValueError(f"unknown rho_mode {rho_mode!r}")
-    scores, features = _score_and_featurise(days, disruptions, g, cfg, top_n)
+    natural_days = _natural_pool(days, disruptions)
+    scores = score_disruptions(days, disruptions, g, cfg, top_n)
     selected_ids = sorted(r.disruption_id for r in scores if r.selected)
     observations = {
         k: PerturbedObservation.from_day_counts(days[disruptions[k].day], disruptions[k])
@@ -330,9 +314,7 @@ def run_evaluation(
     cfg_global = cfg
     if cfg.rho is None and rho_mode == "global":
         cfg_global = cfg.with_rho(
-            resolve_rho_from_features(
-                [observations[k] for k in selected_ids], [features[k] for k in selected_ids], cfg
-            )
+            resolve_rho(natural_days, [observations[k] for k in selected_ids], g, cfg)
         )
 
     records: list[EvalRecord] = []
@@ -340,24 +322,25 @@ def run_evaluation(
     for fold_id, (train_ids, test_ids) in enumerate(folds):
         assert not set(train_ids) & set(test_ids), "train/test folds overlap"
         train_obs = [observations[k] for k in train_ids]
-        train_features = [features[k] for k in train_ids]
         fold_cfg = cfg_global
         if fold_cfg.rho is None:
-            fold_cfg = cfg.with_rho(resolve_rho_from_features(train_obs, train_features, cfg))
-        model = train_from_features(train_obs, train_features, fold_cfg)
+            fold_cfg = cfg.with_rho(resolve_rho(natural_days, train_obs, g, cfg))
+        model = train(natural_days, train_obs, g, fold_cfg)
         for k in test_ids:
             assert k not in train_ids, "out-of-sample discipline violated"
             z = disruptions[k]
             obs_vec = observations[k].exit_vector
             try:
-                mixture, model_samples = predict_from_features(
+                mixture, model_samples = predict(
                     model,
-                    features[k],
+                    natural_days,
+                    z,
+                    g,
                     fold_cfg,
                     n_samples,
                     _derived_seed(seed, fold_id, k, 0),
                 )
-                baseline_samples = features[k].totals
+                baseline_samples = baseline_model(natural_days, z)
                 random_samples = random_model(
                     mixture.basis, _derived_seed(seed, fold_id, k, 1), n_samples
                 )

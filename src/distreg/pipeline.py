@@ -294,12 +294,12 @@ def decay_inputs(
 
 @dataclass(frozen=True, eq=False)
 class DisruptionFeatures:
-    """One disruption's input variables X1..X5 over its natural days, built once.
+    """One disruption's input variables X1..X5 over its natural days.
 
-    X3's rows are the per-day natural ROI window totals, so the baseline
-    model and the rescaled-marginal basis derive from them without another
-    scan of the day counts. `cfg` is the configuration the inputs were
-    built with; only its rescale levels and span enter the basis rows.
+    X3's rows are the per-day natural ROI window totals, so the
+    rescaled-marginal basis derives from them without another scan of the
+    day counts. `cfg` is the configuration the inputs were built with; only
+    its rescale levels and span enter the basis rows.
     """
 
     disruption: Disruption

@@ -343,9 +343,12 @@ class TestRunEvaluation:
         assert len(records) >= 3
 
     @pytest.mark.parametrize("rho_mode", ["per-fold", "global"])
-    def test_features_built_once_per_disruption(self, monkeypatch, rho_mode):
+    def test_features_built_once_per_step(self, monkeypatch, rho_mode):
         # the criterion-9 grid; every distreg module that binds the feature
-        # builder gets the counting wrapper, so no call escapes the count
+        # builder gets the counting wrapper, so no call escapes the count.
+        # Each step builds a disruption's features once and derives its basis
+        # and ROI totals from X3: scoring, then (per fold or globally) the
+        # rho pool, then train per training disruption and predict per test one.
         scenario = SyntheticScenario(
             topology="grid", n_nodes=12, days=10, n_disruptions=4, phi=0.8,
             rate_low=0.8, rate_high=1.6, window_min=80, window_max=140, seed=11,
@@ -367,12 +370,21 @@ class TestRunEvaluation:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
-        _, records = run_evaluation(
+        scores, records = run_evaluation(
             days, ds.disruptions, ds.graph, InterferenceConfig(), out_dir=None,
             n_folds=2, top_n=20, seed=0, n_samples=50, rho_mode=rho_mode,
         )
         assert len(records) == len(ds.disruptions)
-        assert calls == list(ds.disruptions)
+        z = ds.disruptions
+        selected = sorted(r.disruption_id for r in scores if r.selected)
+        expected = list(z)
+        if rho_mode == "global":
+            expected += [z[k] for k in selected]
+        for train_ids, test_ids in kfold(selected, 2, 0):
+            if rho_mode == "per-fold":
+                expected += [z[k] for k in train_ids]
+            expected += [z[k] for k in train_ids] + [z[k] for k in test_ids]
+        assert calls == expected
 
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()
