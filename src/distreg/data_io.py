@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import DayCounts, InterferenceConfig, JourneyRecord, aggregate_day
+from .pipeline import DayCounts, InterferenceConfig, JourneyRecord, aggregate_columns
 
 __all__ = [
     "SyntheticScenario",
@@ -315,44 +316,97 @@ def _int_field(row: dict, key: str, path_name: str) -> int:
         raise ValueError(f"{path_name} line {row['_line']}: bad integer {key}={raw!r}") from None
 
 
-def load_journeys(path: Path | str) -> dict[int, list[JourneyRecord]]:
-    """Read one journeys CSV; day comes from a `day` column or the filename suffix."""
+_JOURNEY_FIELDS = ("origin", "destination", "t_entry", "t_exit")
+
+
+def _parse_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
+    """The journeys-CSV parser: per day, an int64 (rows, 4) array in file order.
+
+    The columns are origin, destination, t_entry, t_exit. Each row is
+    validated as it is read, and the first bad row is named by file and
+    line; station ids must also be below `n_nodes` when it is given.
+    """
     path = Path(path)
-    rows, header = _read_rows(path, ["origin", "destination", "t_entry", "t_exit"])
-    has_day = "day" in header
-    day_from_name: int | None = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _JOURNEY_FIELDS if c not in header]
+        if missing:
+            raise ValueError(f"{path.name}: missing required columns {missing} (header {header})")
+        has_day = "day" in header
+        if not has_day:
+            matches = re.findall(r"(\d+)", path.stem)
+            if not matches:
+                raise ValueError(f"{path.name}: no `day` column and no day number in the filename")
+            day_from_name = int(matches[-1])
+        names = ("day", *_JOURNEY_FIELDS) if has_day else _JOURNEY_FIELDS
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+        idx = [column[name] for name in names]
+        limit = math.inf if n_nodes is None else n_nodes
+        rows: list[list[int]] = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [int(row[i]) for i in idx]
+            except (ValueError, IndexError):
+                raise _bad_field(row, names, idx, f"{path.name} line {reader.line_num}") from None
+            o, d, te, tx = values[-4:]
+            if o < 0 or d < 0 or te < 0 or tx < te or o >= limit or d >= limit:
+                raise _bad_journey(o, d, te, tx, n_nodes, f"{path.name} line {reader.line_num}")
+            rows.append(values)
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(names))
+    cols = table[:, -4:]
     if not has_day:
-        matches = re.findall(r"(\d+)", path.stem)
-        if not matches:
-            raise ValueError(f"{path.name}: no `day` column and no day number in the filename")
-        day_from_name = int(matches[-1])
-    out: dict[int, list[JourneyRecord]] = {}
-    for row in rows:
-        day = _int_field(row, "day", path.name) if has_day else day_from_name
-        o = _int_field(row, "origin", path.name)
-        d = _int_field(row, "destination", path.name)
-        te = _int_field(row, "t_entry", path.name)
-        tx = _int_field(row, "t_exit", path.name)
-        if o < 0 or d < 0 or te < 0:
-            raise ValueError(f"{path.name} line {row['_line']}: negative id or time")
-        if tx < te:
-            raise ValueError(
-                f"{path.name} line {row['_line']}: t_exit {tx} earlier than t_entry {te}"
-            )
-        out.setdefault(day, []).append(JourneyRecord(o, d, te, tx))
-    return out
+        return {day_from_name: cols} if len(cols) else {}
+    day_col = table[:, 0]
+    return {day: cols[day_col == day] for day in dict.fromkeys(day_col.tolist())}
 
 
-def load_journeys_dir(data_dir: Path | str) -> dict[int, list[JourneyRecord]]:
+def _bad_field(row: list[str], names: Sequence[str], idx: Sequence[int], where: str) -> ValueError:
+    """The error for a row's first field that is not an integer (a short row's are blank)."""
+    for name, i in zip(names, idx):
+        raw = row[i].strip() if i < len(row) else ""
+        try:
+            int(raw)
+        except ValueError:
+            return ValueError(f"{where}: bad integer {name}={raw!r}")
+    return ValueError(f"{where}: unreadable row {row!r}")
+
+
+def _bad_journey(o: int, d: int, te: int, tx: int, n_nodes: int | None, where: str) -> ValueError:
+    """The error for a parsed journey row that failed a check, in the order they are made."""
+    if o < 0 or d < 0 or te < 0:
+        return ValueError(f"{where}: negative id or time")
+    if tx < te:
+        return ValueError(f"{where}: t_exit {tx} earlier than t_entry {te}")
+    return ValueError(f"{where}: station ids ({o}, {d}) out of range for {n_nodes} nodes")
+
+
+def _parse_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
+    """_parse_journeys over every journeys*.csv of a directory, in name order."""
     data_dir = Path(data_dir)
     files = sorted(data_dir.glob("journeys*.csv"))
     if not files:
         raise ValueError(f"no journeys*.csv files in {data_dir}")
-    out: dict[int, list[JourneyRecord]] = {}
+    parts: dict[int, list[np.ndarray]] = {}
     for f in files:
-        for day, recs in load_journeys(f).items():
-            out.setdefault(day, []).extend(recs)
-    return out
+        for day, cols in _parse_journeys(f, n_nodes).items():
+            parts.setdefault(day, []).append(cols)
+    return {day: np.concatenate(p) for day, p in parts.items()}
+
+
+def _records(cols: np.ndarray) -> list[JourneyRecord]:
+    return [JourneyRecord(*row) for row in cols.tolist()]
+
+
+def load_journeys(path: Path | str) -> dict[int, list[JourneyRecord]]:
+    """Read one journeys CSV; day comes from a `day` column or the filename suffix."""
+    return {day: _records(cols) for day, cols in _parse_journeys(path).items()}
+
+
+def load_journeys_dir(data_dir: Path | str) -> dict[int, list[JourneyRecord]]:
+    return {day: _records(cols) for day, cols in _parse_journeys_dir(data_dir).items()}
 
 
 def load_disruptions(path: Path | str) -> list[Disruption]:
@@ -440,19 +494,16 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
     """
     data_dir = Path(data_dir)
     graph = load_graph(data_dir / "graph.csv")
-    journeys = load_journeys_dir(data_dir)
+    journeys = _parse_journeys_dir(data_dir, graph.n_nodes)
     disruptions_path = data_dir / "disruptions.csv"
     disruptions = load_disruptions(disruptions_path) if disruptions_path.exists() else []
-    t_hi = 0
-    for recs in journeys.values():
-        for j in recs:
-            t_hi = max(t_hi, j.t_exit)
-    for z in disruptions:
-        t_hi = max(t_hi, z.t_end)
+    t_hi = max(
+        [0, *(int(cols[:, 3].max()) for cols in journeys.values()), *(z.t_end for z in disruptions)]
+    )
     t_window = (0, t_hi)
     days = {
-        day: aggregate_day(recs, day, graph.n_nodes, t_window)
-        for day, recs in sorted(journeys.items())
+        day: aggregate_columns(day, *cols.T, n_nodes=graph.n_nodes, t_window=t_window)
+        for day, cols in sorted(journeys.items())
     }
     for z in disruptions:
         z.validate_against(graph.n_nodes, *t_window)

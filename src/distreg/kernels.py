@@ -235,11 +235,11 @@ def pairwise_distances(X, family: str = GAUSSIAN) -> np.ndarray:
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     Xm = _as_matrix(X)
-    D = _dists(Xm, Xm, family)
+    n = Xm.shape[0]
+    D = _dists(Xm, Xm, family)[np.arange(n)[:, None] < np.arange(n)[None, :]]
     if family == GAUSSIAN:
         np.sqrt(D, out=D)
-    iu = np.triu_indices(Xm.shape[0], k=1)
-    return D[iu]
+    return D
 
 
 def subsample_rows(X: np.ndarray, cap: int = 1000) -> np.ndarray:

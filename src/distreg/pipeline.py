@@ -21,15 +21,18 @@ embeddings to the single observed disruption-day exit vector; prediction
 combines new inputs with the fitted coefficients and projects the result
 onto a basis of rescaled natural marginals for sampling.
 
-Exit-count tensors stay sparse: a day is a map (origin, destination,
-exit minute) -> count, never a dense array.
+Exit-count tensors stay sparse: a day is four int64 columns (origin,
+destination, exit minute, count) with one row per distinct key, never a
+dense array. Every feature is a window sum over those columns, taken by
+one vectorised scan (`_window_scan`) and binned into (day, ROI station)
+cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +54,7 @@ __all__ = [
     "InterferenceConfig",
     "PerturbedObservation",
     "aggregate_day",
+    "aggregate_columns",
     "roi_exit_vector",
     "natural_roi_totals",
     "input_variable_samples",
@@ -89,16 +93,59 @@ class JourneyRecord:
             raise ValueError(f"t_entry {self.t_entry} exceeds t_exit {self.t_exit}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayCounts:
-    """Sparse exit-count tensor for one day: (origin, destination, exit minute) -> count."""
+    """One day's exit counts as four read-only int64 columns.
+
+    Row k says that `count[k]` journeys from station `origin[k]` to station
+    `destination[k]` left the network at minute `t_exit[k]`. The constructor
+    aggregates: rows that share an (origin, destination, t_exit) key are
+    summed into one (`count` defaults to one journey per row), and the rows
+    are sorted by (destination, t_exit, origin), so each station's exits form
+    one contiguous run ordered by exit minute.
+    """
 
     day: int
-    counts: Mapping[tuple[int, int, int], int]
+    origin: np.ndarray
+    destination: np.ndarray
+    t_exit: np.ndarray
+    count: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        o, d, t = (
+            np.asarray(a, dtype=np.int64).reshape(-1)
+            for a in (self.origin, self.destination, self.t_exit)
+        )
+        if self.count is None:
+            c = np.ones_like(o)
+        else:
+            c = np.asarray(self.count, dtype=np.int64).reshape(-1)
+        if not o.size == d.size == t.size == c.size:
+            raise ValueError(
+                f"column lengths differ: origin {o.size}, destination {d.size}, "
+                f"t_exit {t.size}, count {c.size}"
+            )
+        if np.any(c < 0):
+            raise ValueError("exit counts must be nonnegative")
+        order = np.lexsort((o, t, d))
+        o, d, t, c = o[order], d[order], t[order], c[order]
+        first = np.ones(o.size, dtype=bool)
+        first[1:] = (d[1:] != d[:-1]) | (t[1:] != t[:-1]) | (o[1:] != o[:-1])
+        starts = np.flatnonzero(first)
+        columns = {
+            "origin": o[starts],
+            "destination": d[starts],
+            "t_exit": t[starts],
+            "count": np.add.reduceat(c, starts) if starts.size else c,
+        }
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "day", int(self.day))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.count.sum())
 
 
 @dataclass(frozen=True)
@@ -171,45 +218,87 @@ class PerturbedObservation:
         return cls(disruption=z, exit_vector=roi_exit_vector(dc, z))
 
 
+def aggregate_columns(
+    day: int,
+    origin: np.ndarray,
+    destination: np.ndarray,
+    t_entry: np.ndarray,
+    t_exit: np.ndarray,
+    n_nodes: int,
+    t_window: tuple[int, int],
+) -> DayCounts:
+    """Count journeys given as columns by (origin, destination, exit minute).
+
+    Every row is validated; the first offending row (0-based) is named.
+    """
+    o, d, te, tx = (
+        np.asarray(a, dtype=np.int64).reshape(-1) for a in (origin, destination, t_entry, t_exit)
+    )
+    t_min, t_max = t_window
+    bad_station = (o < 0) | (o >= n_nodes) | (d < 0) | (d >= n_nodes)
+    bad_time = (te < t_min) | (te > tx) | (tx > t_max)
+    bad = np.flatnonzero(bad_station | bad_time)
+    if bad.size:
+        i = int(bad[0])
+        if bad_station[i]:
+            raise ValueError(
+                f"row {i}: station ids ({o[i]}, {d[i]}) out of range for {n_nodes} nodes"
+            )
+        raise ValueError(
+            f"row {i}: times ({te[i]}, {tx[i]}) outside window [{t_min}, {t_max}]"
+        )
+    return DayCounts(day=day, origin=o, destination=d, t_exit=tx)
+
+
 def aggregate_day(
     journeys: Sequence[JourneyRecord], day: int, n_nodes: int, t_window: tuple[int, int]
 ) -> DayCounts:
     """Count journeys by (origin, destination, exit minute); validates every record."""
-    t_min, t_max = t_window
-    counts: dict[tuple[int, int, int], int] = {}
-    for i, j in enumerate(journeys):
-        if not (0 <= j.origin < n_nodes and 0 <= j.destination < n_nodes):
-            raise ValueError(
-                f"row {i}: station ids ({j.origin}, {j.destination}) out of range "
-                f"for {n_nodes} nodes"
-            )
-        if not (t_min <= j.t_entry <= j.t_exit <= t_max):
-            raise ValueError(
-                f"row {i}: times ({j.t_entry}, {j.t_exit}) outside window [{t_min}, {t_max}]"
-            )
-        key = (j.origin, j.destination, j.t_exit)
-        counts[key] = counts.get(key, 0) + 1
-    return DayCounts(day=day, counts=counts)
+    cols = np.array(
+        [(j.origin, j.destination, j.t_entry, j.t_exit) for j in journeys], dtype=np.int64
+    ).reshape(-1, 4)
+    return aggregate_columns(day, *cols.T, n_nodes=n_nodes, t_window=t_window)
 
 
-def _window_exits(days: Sequence[DayCounts], z: Disruption):
-    """(day row, ROI index, origin, count) for every exit at an ROI station inside the window."""
-    pos = {station: j for j, station in enumerate(z.roi)}
+def _window_scan(
+    days: Sequence[DayCounts], z: Disruption
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every exit at an ROI station inside z's window, over the given days.
+
+    Returns (cell, origin, count) columns with cell = day row * |ROI| + the
+    station's index in z.roi. A day's ROI stations all lie in one slice of
+    its destination-sorted rows, found by a single searchsorted.
+    """
+    roi = np.asarray(z.roi, dtype=np.int64)
+    lo, hi = int(roi.min()), int(roi.max())
+    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slot[roi - lo] = np.arange(roi.size)
+    rows, dest, t, origin, count = [], [], [], [], []
     for row, dc in enumerate(days):
-        for (o, d, t), c in dc.counts.items():
-            j = pos.get(d)
-            if j is not None and z.t_start <= t <= z.t_end:
-                yield row, j, o, c
+        a, b = np.searchsorted(dc.destination, (lo, hi + 1)).tolist()
+        rows.append(np.full(b - a, row, dtype=np.int64))
+        dest.append(dc.destination[a:b])
+        t.append(dc.t_exit[a:b])
+        origin.append(dc.origin[a:b])
+        count.append(dc.count[a:b])
+    dest, t = np.concatenate(dest), np.concatenate(t)
+    j = slot[dest - lo]
+    keep = (j >= 0) & (t >= z.t_start) & (t <= z.t_end)
+    cell = np.concatenate(rows)[keep] * roi.size + j[keep]
+    return cell, np.concatenate(origin)[keep], np.concatenate(count)[keep]
+
+
+def _cell_totals(cell: np.ndarray, count: np.ndarray, n_days: int, m: int) -> np.ndarray:
+    """(n_days, m) float64 sums of `count` per cell; integer sums, so exact in any order."""
+    return np.bincount(cell, weights=count, minlength=n_days * m).reshape(n_days, m)
 
 
 def roi_exit_vector(dc: DayCounts, z: Disruption) -> np.ndarray:
     """Exits at each ROI station summed over all origins and the disruption window."""
     if dc.day != z.day:
         raise ValueError(f"day mismatch: counts are for day {dc.day}, disruption is day {z.day}")
-    vec = np.zeros(len(z.roi), dtype=np.int64)
-    for _, j, _, c in _window_exits([dc], z):
-        vec[j] += c
-    return vec
+    cell, _, count = _window_scan([dc], z)
+    return _cell_totals(cell, count, 1, len(z.roi))[0].astype(np.int64)
 
 
 def _sorted_natural_days(natural_days: Sequence[DayCounts], z: Disruption) -> list[DayCounts]:
@@ -243,15 +332,11 @@ def input_variable_samples(
     )
     m = len(z.roi)
     n = len(days)
-    x1 = np.zeros((n, m))
-    x2 = np.zeros((n, m))
-    x3 = np.zeros((n, m))
-    for row, j, o, c in _window_exits(days, z):
-        x3[row, j] += c
-        if masks[j, o]:
-            x1[row, j] += c
-        else:
-            x2[row, j] += c
+    cell, origin, count = _window_scan(days, z)
+    feasible = masks[cell % m, origin]
+    x3 = _cell_totals(cell, count, n, m)
+    x1 = _cell_totals(cell[feasible], count[feasible], n, m)
+    x2 = x3 - x1
     col_means = np.mean(x3, axis=0)
     x4 = np.tile(col_means, (n, 1))
     roi_totals = np.sum(x3, axis=1)
@@ -421,10 +506,8 @@ def train_from_features(
 def natural_roi_totals(natural_days: Sequence[DayCounts], z: Disruption) -> np.ndarray:
     """Per-day, per-ROI-station window exit totals (the X3 rows), one row per day."""
     days = _sorted_natural_days(natural_days, z)
-    rows = np.zeros((len(days), len(z.roi)))
-    for row, j, _, c in _window_exits(days, z):
-        rows[row, j] += c
-    return rows
+    cell, _, count = _window_scan(days, z)
+    return _cell_totals(cell, count, len(days), len(z.roi))
 
 
 def _basis_rows(

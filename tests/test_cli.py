@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,31 @@ class TestEvaluate:
         )
         assert rc == 2
         assert "folds" in capsys.readouterr().err
+
+
+class TestMalformedJourneys:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,2,5", "bad integer t_exit=''"),  # short row
+            ("1,,5,6", "bad integer destination=''"),  # blank field
+            ("1,12,5,6", "station ids (1, 12) out of range for 12 nodes"),
+        ],
+        ids=["short-row", "blank-field", "station-out-of-range"],
+    )
+    def test_evaluate_exit_2_names_file_and_line(self, dataset, tmp_path, capsys, row, message):
+        _, _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        path = bad / "journeys_day0.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = row
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--data", str(bad), "--out", str(tmp_path / "out"), "--folds", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"journeys_day0.csv line 5: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestOracle:

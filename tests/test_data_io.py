@@ -21,7 +21,13 @@ from distreg.data_io import (
     write_dataset,
 )
 from distreg.network import Disruption
-from distreg.pipeline import InterferenceConfig, JourneyRecord, roi_exit_vector, aggregate_day
+from distreg.pipeline import (
+    DayCounts,
+    InterferenceConfig,
+    JourneyRecord,
+    aggregate_day,
+    roi_exit_vector,
+)
 
 
 def write(path: Path, text: str) -> Path:
@@ -77,6 +83,24 @@ class TestLoadJourneys:
         p = write(tmp_path / "journeys_day0.csv", "origin,destination\n1,2\n")
         with pytest.raises(ValueError, match="missing"):
             load_journeys(p)
+
+    def test_short_row_reads_as_blank_fields(self, tmp_path):
+        p = write(
+            tmp_path / "journeys_day0.csv",
+            "origin,destination,t_entry,t_exit\n1,2,5,6\n1,2\n",
+        )
+        with pytest.raises(ValueError, match=r"line 3: bad integer t_entry=''"):
+            load_journeys(p)
+
+    def test_day_column_rows_grouped_in_file_order(self, tmp_path):
+        p = write(
+            tmp_path / "journeys.csv",
+            "t_exit,day,origin,destination,t_entry\n9,2,0,1,7\n6,0,1,2,5\n8,2,3,4,1\n",
+        )
+        assert load_journeys(p) == {
+            2: [JourneyRecord(0, 1, 7, 9), JourneyRecord(3, 4, 1, 8)],
+            0: [JourneyRecord(1, 2, 5, 6)],
+        }
 
     def test_no_day_anywhere(self, tmp_path):
         p = write(tmp_path / "journeys.csv", "origin,destination,t_entry,t_exit\n1,2,5,6\n")
@@ -184,7 +208,7 @@ class TestGenerateSynthetic:
             for d, r in ds.journeys.items()
         }
         naturals = np.stack(
-            [roi_exit_vector(DayForced(days[d], z.day), z) for d in range(6)]
+            [roi_exit_vector(day_forced(days[d], z.day), z) for d in range(6)]
         )
         observed = roi_exit_vector(days[z.day], z)
         lo = naturals.min(axis=0) - 3 * naturals.std(axis=0) - 3
@@ -224,12 +248,9 @@ class TestGenerateSynthetic:
             generate_synthetic(s)
 
 
-class DayForced:
-    """Wrap a DayCounts to pose as another day (test helper for window sums)."""
-
-    def __init__(self, dc, day):
-        self.day = day
-        self.counts = dc.counts
+def day_forced(dc, day):
+    """A copy of a DayCounts that poses as another day (test helper for window sums)."""
+    return DayCounts(day, dc.origin, dc.destination, dc.t_exit, dc.count)
 
 
 class TestRoundTrip:
@@ -265,6 +286,26 @@ class TestRoundTrip:
         assert bundle.disruptions == ds.disruptions
         assert bundle.t_window[0] == 0
         assert bundle.t_window[1] >= max(z.t_end for z in ds.disruptions)
+
+
+    def test_load_dataset_matches_aggregated_records(self, tmp_path):
+        ds = generate_synthetic(SCENARIO)
+        write_dataset(ds, tmp_path)
+        bundle = load_dataset(tmp_path)
+        for day, recs in ds.journeys.items():
+            want = aggregate_day(recs, day, SCENARIO.n_nodes, bundle.t_window)
+            got = bundle.days[day]
+            assert got.day == day
+            for name in ("origin", "destination", "t_exit", "count"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_load_dataset_station_out_of_range_names_file_and_line(self, tmp_path):
+        write_dataset(generate_synthetic(SCENARIO), tmp_path)
+        path = tmp_path / "journeys_day1.csv"
+        path.write_text(path.read_text() + f"0,{SCENARIO.n_nodes},1,2\n")
+        n_lines = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"journeys_day1.csv line {n_lines}: station ids"):
+            load_dataset(tmp_path)
 
 
 class TestConfigFile:

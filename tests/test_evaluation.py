@@ -58,7 +58,9 @@ class TestObservableScore:
 
 
 def dc_from(day, entries):
-    return DayCounts(day=day, counts=dict(entries))
+    """DayCounts from a {(origin, destination, t_exit): count} dict."""
+    rows = np.array([(*key, c) for key, c in entries.items()], dtype=np.int64).reshape(-1, 4)
+    return DayCounts(day, *rows.T)
 
 
 class TestSeverityScore:

@@ -18,6 +18,7 @@ from distreg import (
     median_heuristic,
     mmd2,
 )
+from distreg.kernels import _dists, pairwise_distances
 
 from util import double_sum_inner, gaussian_set
 
@@ -218,6 +219,19 @@ class TestMedianHeuristic:
         rng = np.random.default_rng(10)
         X = SampleSet(rng.normal(size=(2500, 1)))
         assert median_heuristic(X) == median_heuristic(X)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    @pytest.mark.parametrize("n", [2, 3, 301])
+    def test_bytes_match_triu_indices_reference(self, family, n):
+        X = np.random.default_rng(n).normal(scale=20.0, size=(n, 2))
+        full = _dists(X, X, family)
+        if family == GAUSSIAN:
+            full = np.sqrt(full)
+        ref = full[np.triu_indices(n, k=1)]
+        got = pairwise_distances(X, family)
+        assert got.shape == (n * (n - 1) // 2,) and got.tobytes() == ref.tobytes()
 
 
 class TestCombine:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distreg import SampleSet, embed
-from distreg.network import Disruption, Graph
+from distreg.network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from distreg.pipeline import (
     DayCounts,
     InterferenceConfig,
@@ -28,11 +30,16 @@ G5 = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
 WINDOW = (0, 100)
 
 
-def day_counts(day, triples):
-    counts = {}
-    for o, d, t, c in triples:
-        counts[(o, d, t)] = counts.get((o, d, t), 0) + c
-    return DayCounts(day=day, counts=counts)
+def day_counts(day, quads):
+    """DayCounts from (origin, destination, t_exit, count) rows; repeated keys add up."""
+    o, d, t, c = np.array(quads, dtype=np.int64).reshape(-1, 4).T
+    return DayCounts(day=day, origin=o, destination=d, t_exit=t, count=c)
+
+
+def as_dict(dc):
+    """The day's counts as {(origin, destination, t_exit): count}."""
+    keys = zip(dc.origin.tolist(), dc.destination.tolist(), dc.t_exit.tolist())
+    return dict(zip(keys, dc.count.tolist()))
 
 
 def hand_days(n_days=4, scale=1):
@@ -62,12 +69,12 @@ CFG = InterferenceConfig()
 class TestAggregateDay:
     def test_empty(self):
         dc = aggregate_day([], day=0, n_nodes=5, t_window=WINDOW)
-        assert dc.counts == {} and dc.total == 0
+        assert as_dict(dc) == {} and dc.total == 0
 
     def test_multiplicity(self):
         recs = [JourneyRecord(0, 1, 5, 10)] * 3
         dc = aggregate_day(recs, day=0, n_nodes=5, t_window=WINDOW)
-        assert dc.counts == {(0, 1, 10): 3}
+        assert as_dict(dc) == {(0, 1, 10): 3}
 
     def test_total_matches_row_count(self):
         recs = [
@@ -86,6 +93,35 @@ class TestAggregateDay:
             aggregate_day(recs, day=0, n_nodes=5, t_window=WINDOW)
         with pytest.raises(ValueError, match="row 0"):
             aggregate_day([JourneyRecord(0, 1, 5, 200)], day=0, n_nodes=5, t_window=WINDOW)
+
+
+class TestDayCounts:
+    def test_aggregated_and_sorted_by_destination_exit_origin(self):
+        dc = day_counts(0, [(3, 1, 9, 1), (0, 2, 5, 2), (2, 1, 9, 1), (3, 1, 9, 4), (1, 1, 4, 1)])
+        assert dc.destination.tolist() == [1, 1, 1, 2]
+        assert dc.t_exit.tolist() == [4, 9, 9, 5]
+        assert dc.origin.tolist() == [1, 2, 3, 0]
+        assert dc.count.tolist() == [1, 1, 5, 2]
+        assert dc.total == 9 and type(dc.total) is int
+
+    def test_one_journey_per_row_by_default(self):
+        dc = DayCounts(day=0, origin=[0, 0, 1], destination=[1, 1, 1], t_exit=[5, 5, 5])
+        assert as_dict(dc) == {(0, 1, 5): 2, (1, 1, 5): 1}
+
+    def test_columns_are_read_only_int64(self):
+        dc = day_counts(0, [(0, 1, 5, 2)])
+        for col in (dc.origin, dc.destination, dc.t_exit, dc.count):
+            assert col.dtype == np.int64
+            with pytest.raises(ValueError):
+                col[0] = 7
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="lengths"):
+            DayCounts(day=0, origin=[0, 1], destination=[1], t_exit=[5])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            day_counts(0, [(0, 1, 5, -1)])
 
 
 class TestRoiExitVector:
@@ -171,6 +207,65 @@ class TestInputVariableSamples:
         twos = input_variable_samples(hand_days(scale=2), Z, G5, CFG)
         for a, b in zip(ones, twos):
             assert np.array_equal(2.0 * a.samples, b.samples)
+
+
+# 7 stations: a path 0-1-2-3, a triangle 4-5-6 hung on 3, so both conventions
+# give masks with feasible and infeasible origins
+G7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
+
+
+def dict_walk(raw_days, z, masks):
+    """Reference: walk every (o, d, t, count) row of every day; (X1, X2, X3) sums."""
+    pos = {station: j for j, station in enumerate(z.roi)}
+    x1, x2, x3 = (np.zeros((len(raw_days), len(z.roi))) for _ in range(3))
+    for row, quads in enumerate(raw_days):
+        for o, d, t, c in quads:
+            j = pos.get(d)
+            if j is not None and z.t_start <= t <= z.t_end:
+                x3[row, j] += c
+                if masks[j, o]:
+                    x1[row, j] += c
+                else:
+                    x2[row, j] += c
+    return x1, x2, x3
+
+
+QUAD = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 9), st.integers(0, 4)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    raw_days=st.lists(st.lists(QUAD, max_size=12), min_size=1, max_size=4),
+    roi=st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+    window=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    convention=st.sampled_from(["inverted", "paper"]),
+)
+@example(raw_days=[[], []], roi=[2], window=(0, 9), convention="inverted")  # empty days
+@example(  # an ROI station with no exits; exits exactly at t_start and t_end
+    raw_days=[[(0, 1, 3, 2), (5, 1, 6, 1), (1, 1, 2, 4), (4, 1, 7, 3)]],
+    roi=[1, 3], window=(3, 6), convention="paper",
+)
+@example(  # ROI in unsorted order
+    raw_days=[[(0, 5, 4, 1), (6, 2, 4, 2), (2, 2, 5, 1)], [(5, 5, 0, 3)]],
+    roi=[5, 0, 2], window=(0, 5), convention="paper",
+)
+def test_window_scan_matches_dict_walk(raw_days, roi, window, convention):
+    z = Disruption(day=len(raw_days), t_start=min(window), t_end=max(window), roi=tuple(roi))
+    cfg = InterferenceConfig(g_convention=convention)
+    g_dis = disrupted_adjacency(G7, z.roi)
+    masks = np.stack([feasible_origins(G7, g_dis, s, cfg.xi, convention) for s in z.roi])
+    ref = dict_walk(raw_days, z, masks)
+
+    days = [day_counts(day, quads) for day, quads in enumerate(raw_days)]
+    x1, x2, x3, _, _ = input_variable_samples(days, z, G7, cfg)
+    for got, want in zip((x1, x2, x3), ref):
+        assert np.array_equal(got.samples, want)
+    assert np.array_equal(natural_roi_totals(days, z), ref[2])
+    for row, quads in enumerate(raw_days):
+        vec = roi_exit_vector(day_counts(z.day, quads), z)
+        assert vec.dtype == np.int64 and vec.tolist() == ref[2][row].tolist()
 
 
 class TestDecayInputs:
