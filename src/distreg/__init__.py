@@ -22,6 +22,7 @@ from .kernels import (
     SampleSet,
     combine,
     embed,
+    embedding_gram,
     eval_kernel,
     gram,
     inner,
@@ -36,7 +37,6 @@ from .pipeline import (
     PerturbedObservation,
     aggregate_day,
     build_basis,
-    decay_inputs,
     input_variable_samples,
     predict,
     resolve_rho,

@@ -26,12 +26,6 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _load_config(path: str | None) -> InterferenceConfig:
-    if path is None:
-        return InterferenceConfig()
-    return data_io.parse_config(path)
-
-
 def _config_for_data(data_dir: Path, config_arg: str | None) -> InterferenceConfig:
     if config_arg is not None:
         return data_io.parse_config(config_arg)
@@ -69,40 +63,36 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _model_to_json(model: MixtureEmbeddingModel, cfg: InterferenceConfig) -> dict:
-    return {
-        "alpha": [float(a) for a in model.alpha],
-        "config": {
-            "xi": cfg.xi,
-            "beta": cfg.beta,
-            "I": cfg.n_inputs,
-            "R": cfg.rescale_levels,
-            "c": cfg.rescale_span,
-            "kernel.family": cfg.kernel_family,
-            "kernel.rho": cfg.rho,
-            "ridge": cfg.ridge,
-            "g_convention": cfg.g_convention,
-            "x5_mode": cfg.x5_mode,
-            "seed": cfg.seed,
-        },
-    }
+    return {"alpha": [float(a) for a in model.alpha], "config": data_io.config_to_dict(cfg)}
 
 
-def _model_from_json(raw: dict) -> tuple[MixtureEmbeddingModel, InterferenceConfig]:
-    c = raw["config"]
-    cfg = InterferenceConfig(
-        xi=c["xi"],
-        beta=c["beta"],
-        n_inputs=c["I"],
-        rescale_levels=c["R"],
-        rescale_span=c["c"],
-        kernel_family=c["kernel.family"],
-        rho=c["kernel.rho"],
-        ridge=c["ridge"],
-        g_convention=c["g_convention"],
-        x5_mode=c["x5_mode"],
-        seed=c["seed"],
-    )
-    return MixtureEmbeddingModel(alpha=np.array(raw["alpha"])), cfg
+def _model_from_json(raw) -> tuple[MixtureEmbeddingModel, InterferenceConfig]:
+    if not isinstance(raw, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(raw).__name__}")
+    if not isinstance(raw.get("config"), dict):
+        raise ValueError(f"model \"config\" must be a JSON object, got {raw.get('config')!r}")
+    alpha = raw.get("alpha")
+    if not isinstance(alpha, list) or not all(
+        isinstance(a, (int, float)) and not isinstance(a, bool) for a in alpha
+    ):
+        raise ValueError(f"model \"alpha\" must be a list of numbers, got {alpha!r}")
+    return MixtureEmbeddingModel(alpha=np.array(alpha)), data_io.config_from_dict(raw["config"])
+
+
+# config fields that predict does not read: the ridge enters only training, and
+# predict takes its sampling seed from --seed
+_NOT_READ_BY_PREDICT = ("ridge", "seed")
+
+
+def _ignored_disagreements(stored: InterferenceConfig, given: InterferenceConfig) -> list[str]:
+    """Keys of the fields predict reads on which a --config file differs from the model."""
+    return [
+        key
+        for key, field in data_io.CONFIG_FIELDS.items()
+        if field not in _NOT_READ_BY_PREDICT
+        and not (field == "rho" and given.rho is None)
+        and getattr(given, field) != getattr(stored, field)
+    ]
 
 
 def _natural_days_and_observations(
@@ -149,15 +139,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     raw = json.loads(Path(args.model).read_text())
     model, cfg = _model_from_json(raw)
     if args.config is not None:
-        file_cfg = data_io.parse_config(args.config)
-        if (file_cfg.xi, file_cfg.g_convention, file_cfg.x5_mode) != (
-            cfg.xi,
-            cfg.g_convention,
-            cfg.x5_mode,
-        ):
+        differing = _ignored_disagreements(cfg, data_io.parse_config(args.config))
+        if differing:
             print(
-                "predict: config file disagrees with the stored model config; "
-                "using the model's stored configuration",
+                f"predict: config file disagrees with the stored model config on "
+                f"{', '.join(differing)}; using the model's stored configuration",
                 file=sys.stderr,
             )
     z_new = _parse_disruption_spec(args.disruption)

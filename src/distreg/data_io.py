@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import DayCounts, InterferenceConfig, JourneyRecord, aggregate_columns
+from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, JourneyRecord, aggregate_columns
 
 __all__ = [
     "SyntheticScenario",
@@ -36,8 +36,11 @@ __all__ = [
     "load_graph",
     "load_ground_truth",
     "load_dataset",
+    "CONFIG_FIELDS",
     "parse_config",
     "write_config",
+    "config_to_dict",
+    "config_from_dict",
     "DatasetBundle",
 ]
 
@@ -272,23 +275,6 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
         write_config(out / "config.txt", config)
 
 
-def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
-    lines = [
-        f"kernel.family = {cfg.kernel_family}",
-        f"kernel.rho = {'auto' if cfg.rho is None else repr(cfg.rho)}",
-        f"xi = {cfg.xi!r}",
-        f"beta = {cfg.beta!r}",
-        f"I = {cfg.n_inputs}",
-        f"R = {cfg.rescale_levels}",
-        f"c = {cfg.rescale_span!r}",
-        f"ridge = {'auto' if cfg.ridge is None else repr(cfg.ridge)}",
-        f"g_convention = {cfg.g_convention}",
-        f"x5_mode = {cfg.x5_mode}",
-        f"seed = {cfg.seed}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # loaders
 
@@ -514,61 +500,98 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
 # config files
 
 
-_CONFIG_KEYS = {
-    "kernel.family",
-    "kernel.rho",
-    "xi",
-    "beta",
-    "I",
-    "R",
-    "c",
-    "ridge",
-    "g_convention",
-    "x5_mode",
-    "seed",
+# file key (config.txt and the "config" object of model.json) -> InterferenceConfig
+# field, in the order write_config writes them
+CONFIG_FIELDS = {
+    "kernel.family": "kernel_family",
+    "kernel.rho": "rho",
+    "xi": "xi",
+    "R": "rescale_levels",
+    "c": "rescale_span",
+    "ridge": "ridge",
+    "g_convention": "g_convention",
+    "x5_mode": "x5_mode",
+    "seed": "seed",
 }
 
 
+def _field_type(field: str) -> tuple[type, bool]:
+    """A field's value type and whether it may be None (`auto`), read off its default."""
+    default = InterferenceConfig.__dataclass_fields__[field].default
+    return (float, True) if default is None else (type(default), False)
+
+
+def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
+    lines = []
+    for key, field in CONFIG_FIELDS.items():
+        value = getattr(cfg, field)
+        lines.append(f"{key} = {'auto' if value is None else value}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def parse_config(path: Path | str) -> InterferenceConfig:
-    """Flat key-value config: `key = value` lines, `#` comments, `auto` for rho/ridge."""
+    """Flat key-value config: `key = value` lines, `#` comments, `auto` for rho/ridge.
+
+    Files written before the `beta` and `I` knobs were removed still load:
+    a `beta` line is skipped, and so is an `I` line whose value is the
+    pipeline's fixed input count.
+    """
     path = Path(path)
-    values: dict[str, str] = {}
+    seen: set[str] = set()
+    values: dict[str, object] = {}
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{path.name} line {ln}"
         if "=" not in stripped:
-            raise ValueError(f"{path.name} line {ln}: expected `key = value`, got {line!r}")
+            raise ValueError(f"{where}: expected `key = value`, got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path.name} line {ln}: unknown config key {key!r}")
-        if key in values:
-            raise ValueError(f"{path.name} line {ln}: duplicate config key {key!r}")
-        values[key] = value
-
-    def opt_float(key: str, default: float | None) -> float | None:
-        raw = values.get(key)
-        if raw is None:
-            return default
-        if raw == "auto":
-            return None
-        return float(raw)
-
-    defaults = InterferenceConfig()
+        if key not in CONFIG_FIELDS and key not in ("beta", "I"):
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{where}: duplicate config key {key!r}")
+        seen.add(key)
+        if key == "I" and value != str(N_TUBE_INPUTS):
+            raise ValueError(f"{where}: I = {value}, but the pipeline builds {N_TUBE_INPUTS} inputs")
+        if key in CONFIG_FIELDS:
+            kind, optional = _field_type(CONFIG_FIELDS[key])
+            try:
+                values[CONFIG_FIELDS[key]] = None if optional and value == "auto" else kind(value)
+            except ValueError:
+                raise ValueError(f"{where}: bad {key} value {value!r}") from None
     try:
-        return InterferenceConfig(
-            xi=float(values.get("xi", defaults.xi)),
-            beta=float(values.get("beta", defaults.beta)),
-            n_inputs=int(values.get("I", defaults.n_inputs)),
-            rescale_levels=int(values.get("R", defaults.rescale_levels)),
-            rescale_span=float(values.get("c", defaults.rescale_span)),
-            kernel_family=values.get("kernel.family", defaults.kernel_family),
-            rho=opt_float("kernel.rho", defaults.rho),
-            ridge=opt_float("ridge", defaults.ridge),
-            g_convention=values.get("g_convention", defaults.g_convention),
-            x5_mode=values.get("x5_mode", defaults.x5_mode),
-            seed=int(values.get("seed", defaults.seed)),
-        )
+        return InterferenceConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
+
+
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def config_to_dict(cfg: InterferenceConfig) -> dict:
+    """The "config" object of model.json: every file key, with null for `auto`."""
+    return {key: getattr(cfg, field) for key, field in CONFIG_FIELDS.items()}
+
+
+def config_from_dict(raw: dict) -> InterferenceConfig:
+    """Inverse of config_to_dict; every key must be present with a value of its JSON type.
+
+    Keys outside the table (older files' `beta` and `I`) are ignored.
+    """
+    values = {}
+    for key, field in CONFIG_FIELDS.items():
+        if key not in raw:
+            raise ValueError(f"model config is missing {key!r}")
+        value = raw[key]
+        kind, optional = _field_type(field)
+        numbers = (int, float) if kind is float else kind
+        if value is None and optional:
+            values[field] = None
+        elif isinstance(value, numbers) and not isinstance(value, bool):
+            values[field] = kind(value)
+        else:
+            expected = _JSON_TYPES[kind] + (" or null" if optional else "")
+            raise ValueError(f"model config {key!r} must be {expected}, got {value!r}")
+    return InterferenceConfig(**values)

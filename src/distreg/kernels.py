@@ -33,6 +33,7 @@ __all__ = [
     "gram",
     "embed",
     "inner",
+    "embedding_gram",
     "mmd2",
     "median_heuristic",
     "combine",
@@ -214,6 +215,16 @@ def inner(a: Embedding, b: Embedding) -> float:
     return _weighted_kernel_sum(
         a.kernel, a.sample_set.samples, a.weights, b.sample_set.samples, b.weights
     )
+
+
+def embedding_gram(embeddings: Sequence[Embedding]) -> np.ndarray:
+    """Symmetric matrix of <e_i, e_j>: one `inner(e_i, e_j)` call per entry with i <= j."""
+    n = len(embeddings)
+    G = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            G[i, j] = G[j, i] = inner(embeddings[i], embeddings[j])
+    return G
 
 
 def mmd2(a: Embedding, b: Embedding) -> float:

@@ -44,7 +44,7 @@ from .kernels import (
     pairwise_distances,
     subsample_rows,
 )
-from .network import Disruption, Graph, bfs_distance, disrupted_adjacency, feasible_origins
+from .network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from .regression import MixtureEmbeddingModel, TrainingPairs, fit_mixture_embeddings, predict_embedding
 from .sampler import Basis, FittedMixture, fit_mixture_weights, sample_mixture
 
@@ -60,7 +60,6 @@ __all__ = [
     "input_variable_samples",
     "DisruptionFeatures",
     "disruption_features",
-    "decay_inputs",
     "resolve_rho",
     "resolve_rho_from_features",
     "train",
@@ -152,13 +151,19 @@ class DayCounts:
 class InterferenceConfig:
     """Pipeline knobs.
 
+    xi, g_convention and x5_mode shape the five input variables X1..X5;
+    rescale_levels (R) and rescale_span (c) shape the sampling basis;
+    kernel_family and rho give the one kernel of regression and basis fit;
+    ridge regularises the training Gram; seed is `evaluate`'s default seed.
     rho=None means "resolve by the median heuristic" (see resolve_rho);
     ridge=None picks the trace-scaled default of the regression module.
+
+    `data_io.CONFIG_FIELDS` maps each field to its key in `config.txt` and
+    `model.json`, and each field's value type is read off its default
+    (None stands for an optional float, written `auto`).
     """
 
     xi: float = 0.25
-    beta: float = 1.0
-    n_inputs: int = N_TUBE_INPUTS
     rescale_levels: int = 5
     rescale_span: float = 1.5
     kernel_family: str = GAUSSIAN
@@ -171,10 +176,6 @@ class InterferenceConfig:
     def __post_init__(self) -> None:
         if not self.xi > 0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.n_inputs < 1:
-            raise ValueError(f"need n_inputs >= 1, got {self.n_inputs}")
         if self.rescale_levels < 2:
             raise ValueError(f"need rescale_levels >= 2, got {self.rescale_levels}")
         if not self.rescale_span > 1:
@@ -346,37 +347,6 @@ def input_variable_samples(
     return (SampleSet(x1), SampleSet(x2), SampleSet(x3), SampleSet(x4), SampleSet(x5))
 
 
-def decay_inputs(
-    natural_samples: SampleSet,
-    center: int,
-    g: Graph,
-    beta: float,
-    n_inputs: int,
-) -> tuple[SampleSet, ...]:
-    """Generic distance-decay functionals over the full node set.
-
-    The i-th output (i = 1..n_inputs) scales coordinate d of every sample
-    by exp(-i * beta * dist(d, center)); coordinates unreachable from
-    the center decay to 0.
-    """
-    if natural_samples.dim != g.n_nodes:
-        raise ValueError(
-            f"samples have dim {natural_samples.dim} but the graph has {g.n_nodes} nodes"
-        )
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if n_inputs < 1:
-        raise ValueError(f"need n_inputs >= 1, got {n_inputs}")
-    dist = bfs_distance(g, center)
-    out = []
-    for i in range(1, n_inputs + 1):
-        with np.errstate(over="ignore"):
-            factors = np.exp(-i * beta * dist)
-        factors = np.where(np.isfinite(dist), factors, 0.0)
-        out.append(SampleSet(natural_samples.samples * factors[None, :]))
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class DisruptionFeatures:
     """One disruption's input variables X1..X5 over its natural days.
@@ -489,10 +459,6 @@ def train_from_features(
     """train on precomputed features, one per observation and in the same order."""
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
-    if cfg.n_inputs != N_TUBE_INPUTS:
-        raise ValueError(
-            f"the exit-count pipeline builds {N_TUBE_INPUTS} inputs; config says {cfg.n_inputs}"
-        )
     kernel = cfg.kernel()
     inputs = []
     outputs = []

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Embedding, KernelConfig, combine, inner
+from .kernels import Embedding, KernelConfig, combine, embedding_gram, inner
 from .simplex_qp import SimplexQPProblem, solve
 
 __all__ = [
@@ -164,19 +164,6 @@ def _check_rank(G: np.ndarray, what: str) -> None:
         )
 
 
-def _input_gram(pairs: TrainingPairs) -> np.ndarray:
-    """K x K matrix of inner products between the (single) input embeddings."""
-    K = pairs.n_pairs
-    q = [tup[0] for tup in pairs.inputs]
-    G = np.zeros((K, K))
-    for i in range(K):
-        for j in range(i, K):
-            v = inner(q[i], q[j])
-            G[i, j] = v
-            G[j, i] = v
-    return G
-
-
 def fit_nonparametric(pairs: TrainingPairs, ridge: float | None = 0.0) -> NonParametricOperator:
     """Least-squares operator from input to output embeddings (arity must be 1).
 
@@ -185,7 +172,7 @@ def fit_nonparametric(pairs: TrainingPairs, ridge: float | None = 0.0) -> NonPar
     """
     if pairs.arity != 1:
         raise ValueError(f"non-parametric model takes single-input pairs, got arity {pairs.arity}")
-    G = _input_gram(pairs)
+    G = embedding_gram([tup[0] for tup in pairs.inputs])
     r = _resolve_ridge(G, ridge)
     if r == 0.0:
         _check_rank(G, "input embedding Gram")
@@ -226,13 +213,8 @@ def _normal_equations(pairs: TrainingPairs) -> tuple[np.ndarray, np.ndarray]:
     G = np.zeros((I, I))
     b = np.zeros(I)
     for tup, out in zip(pairs.inputs, pairs.outputs):
-        for i in range(I):
-            b[i] += inner(tup[i], out)
-            for j in range(i, I):
-                v = inner(tup[i], tup[j])
-                G[i, j] += v
-                if j > i:
-                    G[j, i] += v
+        G += embedding_gram(tup)
+        b += [inner(e, out) for e in tup]
     return G, b
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Embedding, KernelConfig, SampleSet, embed, inner
+from .kernels import Embedding, KernelConfig, SampleSet, embed, embedding_gram, inner
 from .simplex_qp import SimplexQPProblem, solve
 
 __all__ = [
@@ -115,13 +115,7 @@ def fit_mixture_weights(target: Embedding, basis: Basis) -> FittedMixture:
         raise ValueError("target and basis kernels differ")
     if target.dim != basis.dim:
         raise ValueError(f"target dim {target.dim} != basis dim {basis.dim}")
-    n = len(basis)
-    G = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = inner(basis.embeddings[i], basis.embeddings[j])
-            G[i, j] = v
-            G[j, i] = v
+    G = embedding_gram(basis.embeddings)
     b = np.array([inner(e, target) for e in basis.embeddings])
     sol = solve(SimplexQPProblem(G=G, b=b))
     theta = sol.theta

@@ -285,3 +285,80 @@ class TestConfigHandling:
         )
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    _, _, data = dataset
+    model_dir = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--data", str(data), "--out", str(model_dir)]) == 0
+    return data, model_dir / "model.json"
+
+
+def predict_args(data: Path, model: Path, out: Path) -> list:
+    return [
+        "predict",
+        "--data", str(data),
+        "--model", str(model),
+        "--out", str(out),
+        "--disruption", "99,60,180,1;2",
+        "--n-samples", "30",
+        "--seed", "4",
+    ]
+
+
+class TestModelFile:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda raw: raw["config"].update(xi="abc"), "'xi'"),
+            (lambda raw: raw["config"].update(R=None), "'R'"),
+            (lambda raw: raw.update(config=[]), '"config"'),
+            (lambda raw: raw.update(alpha=[1.0, "2"]), '"alpha"'),
+            (lambda raw: [raw], "JSON object"),
+        ],
+        ids=["xi-string", "R-null", "config-list", "alpha-string", "top-level-list"],
+    )
+    def test_malformed_model_exit_2(self, trained, tmp_path, capsys, edit, named):
+        data, model = trained
+        raw = json.loads(model.read_text())
+        edited = edit(raw)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(raw if edited is None else edited))
+        capsys.readouterr()
+        assert main(predict_args(data, bad, tmp_path / "pred")) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_old_format_model_and_config_load(self, trained, tmp_path, capsys):
+        data, model = trained
+        main(predict_args(data, model, tmp_path / "new"))
+        raw = json.loads(model.read_text())
+        raw["config"].update({"beta": 1.0, "I": 5})
+        old_model = tmp_path / "old_model.json"
+        old_model.write_text(json.dumps(raw))
+        assert main(predict_args(data, old_model, tmp_path / "old")) == 0
+        assert dir_digest(tmp_path / "old") == dir_digest(tmp_path / "new")
+
+        old_config = tmp_path / "config.txt"
+        lines = (data / "config.txt").read_text().splitlines()
+        old_config.write_text("\n".join(lines[:3] + ["beta = 1.0", "I = 5"] + lines[3:]) + "\n")
+        train = ["train", "--data", str(data), "--config", str(old_config)]
+        assert main(train + ["--out", str(tmp_path / "m")]) == 0
+        assert (tmp_path / "m" / "model.json").read_bytes() == model.read_bytes()
+
+    def test_differing_config_reported_and_ignored(self, trained, tmp_path, capsys):
+        data, model = trained
+        main(predict_args(data, model, tmp_path / "plain"))
+        capsys.readouterr()
+        same = tmp_path / "same.txt"  # only fields predict does not read differ; rho is auto
+        same.write_text("kernel.rho = auto\nridge = 0.5\nseed = 3\n")
+        assert main(predict_args(data, model, tmp_path / "same") + ["--config", str(same)]) == 0
+        assert "disagrees" not in capsys.readouterr().err
+        other = tmp_path / "other.txt"
+        other.write_text("R = 3\n")
+        assert main(predict_args(data, model, tmp_path / "other") + ["--config", str(other)]) == 0
+        err = capsys.readouterr().err
+        assert "disagrees with the stored model config on R;" in err
+        for name in ("theta.csv", "samples.csv", "prediction.json"):
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -1,13 +1,18 @@
 """Loader/writer validation and synthetic-generator tests."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distreg.data_io import (
     SyntheticScenario,
+    config_from_dict,
+    config_to_dict,
     generate_synthetic,
     load_dataset,
     load_disruptions,
@@ -311,7 +316,7 @@ class TestRoundTrip:
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = InterferenceConfig(
-            xi=0.3, beta=2.0, rescale_levels=4, rescale_span=1.25, rho=0.01, ridge=1e-7, seed=5
+            xi=0.3, rescale_levels=4, rescale_span=1.25, rho=0.01, ridge=1e-7, seed=5
         )
         p = tmp_path / "config.txt"
         write_config(p, cfg)
@@ -340,3 +345,105 @@ class TestConfigFile:
         p = write(tmp_path / "c.txt", "xi = often\n")
         with pytest.raises(ValueError):
             parse_config(p)
+
+
+def positive_floats():
+    return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+CONFIGS = st.builds(
+    InterferenceConfig,
+    xi=positive_floats(),
+    rescale_levels=st.integers(min_value=2, max_value=1000),
+    rescale_span=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    kernel_family=st.sampled_from(["gaussian", "laplace"]),
+    rho=st.none() | positive_floats(),
+    ridge=st.none() | positive_floats(),
+    g_convention=st.sampled_from(["inverted", "paper"]),
+    x5_mode=st.sampled_from(["mean", "sum"]),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+
+# config.txt as written before the `beta` and `I` knobs were removed
+OLD_CONFIG_TXT = """\
+kernel.family = gaussian
+kernel.rho = 0.01
+xi = 0.3
+beta = 2.0
+I = 5
+R = 4
+c = 1.25
+ridge = 1e-07
+g_convention = inverted
+x5_mode = mean
+seed = 5
+"""
+
+
+class TestConfigSchema:
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=CONFIGS)
+    def test_file_and_json_round_trips(self, tmp_path, cfg):
+        p = tmp_path / "config.txt"
+        write_config(p, cfg)
+        assert parse_config(p) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_old_file_parses_equal_to_new_file(self, tmp_path):
+        old = write(tmp_path / "old.txt", OLD_CONFIG_TXT)
+        cfg = parse_config(old)
+        new = tmp_path / "new.txt"
+        write_config(new, cfg)
+        dropped = [ln for ln in OLD_CONFIG_TXT.splitlines() if ln.split(" = ")[0] not in ("beta", "I")]
+        assert new.read_text() == "\n".join(dropped) + "\n"
+        assert len(dropped) == 9
+        assert parse_config(new) == cfg == InterferenceConfig(
+            xi=0.3, rescale_levels=4, rescale_span=1.25, rho=0.01, ridge=1e-7, seed=5
+        )
+
+    def test_input_count_other_than_five_rejected_with_line(self, tmp_path):
+        p = write(tmp_path / "c.txt", "xi = 0.3\nI = 3\n")
+        with pytest.raises(ValueError, match="c.txt line 2: I = 3"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("line", ["R = 2.5", "xi = auto", "seed = auto"])
+    def test_bad_value_names_key_and_line(self, tmp_path, line):
+        p = write(tmp_path / "c.txt", f"# header\n{line}\n")
+        key, value = line.split(" = ")
+        with pytest.raises(ValueError, match=f"c.txt line 2: bad {key} value '{value}'"):
+            parse_config(p)
+
+    def test_dict_ignores_unknown_keys(self):
+        raw = {**config_to_dict(InterferenceConfig(rho=0.5)), "beta": 1.0, "I": 5}
+        assert config_from_dict(raw) == InterferenceConfig(rho=0.5)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("xi", "abc"),
+            ("xi", True),
+            ("xi", None),
+            ("R", None),
+            ("R", 5.0),
+            ("seed", False),
+            ("kernel.family", 1),
+            ("x5_mode", None),
+            ("kernel.rho", "auto"),
+            ("ridge", [1e-8]),
+        ],
+    )
+    def test_dict_type_checked(self, key, value):
+        raw = {**config_to_dict(InterferenceConfig()), key: value}
+        with pytest.raises(ValueError, match=f"model config {key!r} must be"):
+            config_from_dict(raw)
+
+    def test_dict_missing_key_rejected(self):
+        raw = config_to_dict(InterferenceConfig())
+        del raw["c"]
+        with pytest.raises(ValueError, match="missing 'c'"):
+            config_from_dict(raw)

@@ -12,12 +12,14 @@ from distreg import (
     SampleSet,
     combine,
     embed,
+    embedding_gram,
     eval_kernel,
     gram,
     inner,
     median_heuristic,
     mmd2,
 )
+from distreg import kernels
 from distreg.kernels import _dists, pairwise_distances
 
 from util import double_sum_inner, gaussian_set
@@ -166,6 +168,31 @@ class TestInner:
         a = embed(K_G, gaussian_set(rng, 0.0, 5, 2))
         b = embed(K_G, gaussian_set(rng, 2.0, 4, 2))
         assert inner(a, b) == pytest.approx(double_sum_inner(K_G, a, b), abs=1e-13)
+
+
+class TestEmbeddingGram:
+    @pytest.mark.parametrize("k", [K_G, K_L], ids=["gaussian", "laplace"])
+    def test_bits_match_entrywise_inner(self, k):
+        rng = np.random.default_rng(12)
+        es = [embed(k, gaussian_set(rng, 0.3 * i, 3 + i, 2)) for i in range(5)]
+        es.append(combine(es[:2], [1.5, -0.25]))
+        want = np.array(
+            [[inner(es[min(i, j)], es[max(i, j)]) for j in range(6)] for i in range(6)]
+        )
+        assert embedding_gram(es).tobytes() == want.tobytes()
+
+    def test_one_module_level_inner_call_per_upper_entry(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, _inner=kernels.inner):
+            calls.append((a, b))
+            return _inner(a, b)
+
+        monkeypatch.setattr(kernels, "inner", counting)
+        es = [embed(K_G, SampleSet(np.array([[float(i)]]))) for i in range(4)]
+        G = embedding_gram(es)
+        assert len(calls) == 4 * 5 // 2
+        assert np.array_equal(G, G.T)
 
 
 class TestMMD2:

@@ -14,7 +14,6 @@ from distreg.pipeline import (
     PerturbedObservation,
     aggregate_day,
     build_basis,
-    decay_inputs,
     input_variable_samples,
     natural_roi_totals,
     predict,
@@ -268,38 +267,6 @@ def test_window_scan_matches_dict_walk(raw_days, roi, window, convention):
         assert vec.dtype == np.int64 and vec.tolist() == ref[2][row].tolist()
 
 
-class TestDecayInputs:
-    def test_center_coordinate_unscaled(self):
-        samples = SampleSet(np.ones((3, 5)))
-        out = decay_inputs(samples, center=2, g=G5, beta=1.0, n_inputs=3)
-        for s in out:
-            assert np.all(s.samples[:, 2] == 1.0)
-
-    def test_large_beta_kills_non_center(self):
-        samples = SampleSet(np.ones((2, 5)))
-        out = decay_inputs(samples, center=0, g=G5, beta=500.0, n_inputs=2)
-        for s in out:
-            others = np.delete(s.samples, 0, axis=1)
-            assert np.max(others) < 1e-100
-
-    def test_closed_form_factor(self):
-        # path graph, beta=1, i=2, hop distance 1 -> factor e^-2
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        samples = SampleSet(np.ones((1, 3)))
-        out = decay_inputs(samples, center=0, g=g, beta=1.0, n_inputs=2)
-        assert out[1].samples[0, 1] == pytest.approx(np.exp(-2.0), rel=1e-12)
-
-    def test_unreachable_coordinate_zeroed(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        samples = SampleSet(np.ones((1, 3)))
-        out = decay_inputs(samples, center=0, g=g, beta=1.0, n_inputs=1)
-        assert out[0].samples[0, 2] == 0.0
-
-    def test_dim_must_match_graph(self):
-        with pytest.raises(ValueError, match="dim"):
-            decay_inputs(SampleSet(np.ones((1, 3))), 0, G5, 1.0, 1)
-
-
 def observations_for(days, zs):
     """Disruption-day observations synthesized from a hand rule."""
     obs = []
@@ -341,13 +308,6 @@ class TestTrain:
         z = Disruption(day=10, t_start=20, t_end=60, roi=(1, 2))
         with pytest.raises(ValueError, match="rho"):
             train(days, observations_for(days, [z]), G5, InterferenceConfig())
-
-    def test_input_count_mismatch_rejected(self):
-        days = hand_days()
-        z = Disruption(day=10, t_start=20, t_end=60, roi=(1, 2))
-        cfg = InterferenceConfig(rho=0.05, n_inputs=3)
-        with pytest.raises(ValueError, match="inputs"):
-            train(days, observations_for(days, [z]), G5, cfg)
 
     def test_needs_observations(self):
         with pytest.raises(ValueError, match="at least one"):

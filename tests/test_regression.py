@@ -18,6 +18,7 @@ from distreg.regression import (
     MixtureEmbeddingModel,
     SingularGramError,
     TrainingPairs,
+    _normal_equations,
     apply_nonparametric,
     fit_mixture_distributions,
     fit_mixture_embeddings,
@@ -201,6 +202,27 @@ class TestMixtureEmbeddings:
         model = fit_mixture_embeddings(pairs, ridge=0.0)
         G, b = normal_equations_for(pairs)
         assert np.max(np.abs(b - G @ model.alpha)) <= 1e-8
+
+    def test_normal_equations_bits_match_upper_triangle_loop(self):
+        rng = np.random.default_rng(14)
+        pairs = TrainingPairs(
+            inputs=tuple(
+                tuple(embed(K, gaussian_set(rng, m + k, 6 + k)) for m in (0.0, 1.0, 3.0))
+                for k in range(3)
+            ),
+            outputs=tuple(embed(K, gaussian_set(rng, 1.0, 4)) for _ in range(3)),
+        )
+        G_want, b_want = np.zeros((3, 3)), np.zeros(3)
+        for tup, out in zip(pairs.inputs, pairs.outputs):
+            for i in range(3):
+                b_want[i] += inner(tup[i], out)
+                for j in range(i, 3):
+                    v = inner(tup[i], tup[j])
+                    G_want[i, j] += v
+                    if j > i:
+                        G_want[j, i] += v
+        G, b = _normal_equations(pairs)
+        assert G.tobytes() == G_want.tobytes() and b.tobytes() == b_want.tobytes()
 
     def test_two_gaussian_recovery_sanity(self):
         # reduced-size version of the recovery experiment (full size in acceptance)
