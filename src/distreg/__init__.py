@@ -33,9 +33,8 @@ from .network import Disruption, Graph, bfs_distance, detour_score, disrupted_ad
 from .pipeline import (
     DayCounts,
     InterferenceConfig,
-    JourneyRecord,
     PerturbedObservation,
-    aggregate_day,
+    aggregate_columns,
     build_basis,
     input_variable_samples,
     predict,

@@ -98,8 +98,7 @@ def _ignored_disagreements(stored: InterferenceConfig, given: InterferenceConfig
 def _natural_days_and_observations(
     bundle: data_io.DatasetBundle,
 ) -> tuple[list, list[PerturbedObservation]]:
-    disrupted = {z.day for z in bundle.disruptions}
-    naturals = [bundle.days[d] for d in sorted(bundle.days) if d not in disrupted]
+    naturals = pipeline.natural_pool(bundle.days, bundle.disruptions)
     observations = []
     for z in bundle.disruptions:
         if z.day not in bundle.days:
@@ -148,8 +147,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             )
     z_new = _parse_disruption_spec(args.disruption)
     z_new.validate_against(bundle.graph.n_nodes, *bundle.t_window)
-    disrupted = {z.day for z in bundle.disruptions}
-    naturals = [bundle.days[d] for d in sorted(bundle.days) if d not in disrupted]
+    naturals = pipeline.natural_pool(bundle.days, bundle.disruptions)
     mixture, samples = pipeline.predict(
         model, naturals, z_new, bundle.graph, cfg, args.n_samples, args.seed
     )

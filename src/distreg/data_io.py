@@ -6,6 +6,11 @@ it draws per-OD Poisson journey counts for natural days and produces
 perturbed days by re-destining a known fraction of the journeys affected
 by each disruption, so the perturbed ROI-exit distribution is a known
 rescaling of the natural one and recovery can be tested sharply.
+
+A day's journeys have one form throughout: an int64 (rows, 4) array with
+columns origin, destination, t_entry, t_exit. The generator builds it,
+`write_dataset` writes it as `journeys_day<N>.csv`, `load_journeys` reads
+it back, and `pipeline.aggregate_columns` counts it into `DayCounts`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, JourneyRecord, aggregate_columns
+from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, aggregate_columns
 
 __all__ = [
     "SyntheticScenario",
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 _TOPOLOGIES = ("path", "cycle", "grid", "erdos-renyi")
+_JOURNEY_FIELDS = ("origin", "destination", "t_entry", "t_exit")
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,11 @@ class GroundTruthRecord:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
+    """A generated dataset; each day's journeys are an int64 (rows, 4) array
+    of origin, destination, t_entry, t_exit (the layout of `load_journeys`)."""
+
     graph: Graph
-    journeys: dict[int, list[JourneyRecord]]
+    journeys: dict[int, np.ndarray]
     disruptions: list[Disruption]
     ground_truth: list[GroundTruthRecord]
     t_window: tuple[int, int]
@@ -148,15 +157,21 @@ def _build_graph(s: SyntheticScenario, rng: np.random.Generator) -> Graph:
 
 def _natural_day_journeys(
     rng: np.random.Generator, rates: np.ndarray, t_min: int, t_max: int
-) -> list[JourneyRecord]:
+) -> np.ndarray:
     counts = rng.poisson(rates)
-    journeys = []
     origins, destinations = np.nonzero(counts)  # row-major, matching draw order
-    for o, d in zip(origins.tolist(), destinations.tolist()):
-        for _ in range(int(counts[o, d])):
-            t_exit = int(rng.integers(t_min, t_max + 1))
-            t_entry = int(rng.integers(t_min, t_exit + 1))
-            journeys.append(JourneyRecord(o, d, t_entry, t_exit))
+    per_pair = counts[origins, destinations]
+    # one scalar (t_exit, t_entry <= t_exit) pair per journey, in row order: a
+    # batched draw would shift the stream, since a zero-range call draws nothing
+    integers = rng.integers
+    times = []
+    for _ in range(int(per_pair.sum())):
+        t_exit = int(integers(t_min, t_max + 1))
+        times.append((int(integers(t_min, t_exit + 1)), t_exit))
+    journeys = np.empty((len(times), 4), dtype=np.int64)
+    journeys[:, 0] = np.repeat(origins, per_pair)
+    journeys[:, 1] = np.repeat(destinations, per_pair)
+    journeys[:, 2:] = np.array(times, dtype=np.int64).reshape(-1, 2)
     return journeys
 
 
@@ -194,7 +209,7 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
     n = s.n_nodes
     rates = rng.uniform(s.rate_low, s.rate_high, (n, n))
 
-    journeys: dict[int, list[JourneyRecord]] = {}
+    journeys: dict[int, np.ndarray] = {}
     for day in range(s.days):
         journeys[day] = _natural_day_journeys(rng, rates, s.t_min, s.t_max)
 
@@ -217,21 +232,16 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
 
         g_dis = disrupted_adjacency(g, roi)
         dist_dis = np.stack([bfs_distance(g_dis, v) for v in range(n)])
-        roi_set = set(roi)
-        base = _natural_day_journeys(rng, rates, s.t_min, s.t_max)
-        perturbed = []
-        for j in base:
-            affected = (
-                j.origin in roi_set
-                or j.destination in roi_set
-                or dist_dis[j.origin, j.destination] > dist_nat[j.origin, j.destination]
-            )
-            in_window = t_start <= j.t_exit <= t_end
-            if affected and in_window and rng.random() < s.phi:
-                target = _reroute_target(g, roi, j.destination, dist_nat[j.destination])
-                j = JourneyRecord(j.origin, target, j.t_entry, j.t_exit)
-            perturbed.append(j)
-        journeys[day] = perturbed
+        journeys[day] = perturbed = _natural_day_journeys(rng, rates, s.t_min, s.t_max)
+        o, d, t_exit = perturbed[:, 0], perturbed[:, 1], perturbed[:, 3]
+        affected = np.isin(o, roi) | np.isin(d, roi) | (dist_dis[o, d] > dist_nat[o, d])
+        in_window = (t_start <= t_exit) & (t_exit <= t_end)
+        # one phi draw per affected in-window journey, in row order
+        candidates = np.flatnonzero(affected & in_window)
+        moved = candidates[rng.random(candidates.size) < s.phi]
+        dests, which = np.unique(d[moved], return_inverse=True)
+        targets = [_reroute_target(g, roi, dest, dist_nat[dest]) for dest in dests.tolist()]
+        perturbed[moved, 1] = np.array(targets, dtype=np.int64)[which]
         ground_truth.append(GroundTruthRecord(disruption_id=k, phi=s.phi, scale=1.0 - s.phi))
 
     return SyntheticDataset(
@@ -258,9 +268,8 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
     for day in sorted(ds.journeys):
         with open(out / f"journeys_day{day}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["origin", "destination", "t_entry", "t_exit"])
-            for j in ds.journeys[day]:
-                writer.writerow([j.origin, j.destination, j.t_entry, j.t_exit])
+            writer.writerow(_JOURNEY_FIELDS)
+            writer.writerows(ds.journeys[day].tolist())
     with open(out / "disruptions.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["day", "t_start", "t_end", "roi"])
@@ -302,13 +311,11 @@ def _int_field(row: dict, key: str, path_name: str) -> int:
         raise ValueError(f"{path_name} line {row['_line']}: bad integer {key}={raw!r}") from None
 
 
-_JOURNEY_FIELDS = ("origin", "destination", "t_entry", "t_exit")
+def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
+    """Read one journeys CSV: per day, an int64 (rows, 4) array in file order.
 
-
-def _parse_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
-    """The journeys-CSV parser: per day, an int64 (rows, 4) array in file order.
-
-    The columns are origin, destination, t_entry, t_exit. Each row is
+    The columns are origin, destination, t_entry, t_exit; the day comes
+    from a `day` column or else the filename's last number. Each row is
     validated as it is read, and the first bad row is named by file and
     line; station ids must also be below `n_nodes` when it is given.
     """
@@ -369,30 +376,17 @@ def _bad_journey(o: int, d: int, te: int, tx: int, n_nodes: int | None, where: s
     return ValueError(f"{where}: station ids ({o}, {d}) out of range for {n_nodes} nodes")
 
 
-def _parse_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
-    """_parse_journeys over every journeys*.csv of a directory, in name order."""
+def load_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
+    """load_journeys over every journeys*.csv of a directory, in name order."""
     data_dir = Path(data_dir)
     files = sorted(data_dir.glob("journeys*.csv"))
     if not files:
         raise ValueError(f"no journeys*.csv files in {data_dir}")
     parts: dict[int, list[np.ndarray]] = {}
     for f in files:
-        for day, cols in _parse_journeys(f, n_nodes).items():
+        for day, cols in load_journeys(f, n_nodes).items():
             parts.setdefault(day, []).append(cols)
     return {day: np.concatenate(p) for day, p in parts.items()}
-
-
-def _records(cols: np.ndarray) -> list[JourneyRecord]:
-    return [JourneyRecord(*row) for row in cols.tolist()]
-
-
-def load_journeys(path: Path | str) -> dict[int, list[JourneyRecord]]:
-    """Read one journeys CSV; day comes from a `day` column or the filename suffix."""
-    return {day: _records(cols) for day, cols in _parse_journeys(path).items()}
-
-
-def load_journeys_dir(data_dir: Path | str) -> dict[int, list[JourneyRecord]]:
-    return {day: _records(cols) for day, cols in _parse_journeys_dir(data_dir).items()}
 
 
 def load_disruptions(path: Path | str) -> list[Disruption]:
@@ -480,7 +474,7 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
     """
     data_dir = Path(data_dir)
     graph = load_graph(data_dir / "graph.csv")
-    journeys = _parse_journeys_dir(data_dir, graph.n_nodes)
+    journeys = load_journeys_dir(data_dir, graph.n_nodes)
     disruptions_path = data_dir / "disruptions.csv"
     disruptions = load_disruptions(disruptions_path) if disruptions_path.exists() else []
     t_hi = max(
@@ -521,6 +515,15 @@ def _field_type(field: str) -> tuple[type, bool]:
     return (float, True) if default is None else (type(default), False)
 
 
+def _field_error(field: str, value) -> str | None:
+    """InterferenceConfig's objection to one field's value, if any (its checks are per field)."""
+    try:
+        InterferenceConfig(**{field: value})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
     lines = []
     for key, field in CONFIG_FIELDS.items():
@@ -556,15 +559,16 @@ def parse_config(path: Path | str) -> InterferenceConfig:
         if key == "I" and value != str(N_TUBE_INPUTS):
             raise ValueError(f"{where}: I = {value}, but the pipeline builds {N_TUBE_INPUTS} inputs")
         if key in CONFIG_FIELDS:
-            kind, optional = _field_type(CONFIG_FIELDS[key])
+            field = CONFIG_FIELDS[key]
+            kind, optional = _field_type(field)
             try:
-                values[CONFIG_FIELDS[key]] = None if optional and value == "auto" else kind(value)
+                values[field] = None if optional and value == "auto" else kind(value)
             except ValueError:
                 raise ValueError(f"{where}: bad {key} value {value!r}") from None
-    try:
-        return InterferenceConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path.name}: {exc}") from None
+            error = _field_error(field, values[field])
+            if error is not None:
+                raise ValueError(f"{where}: bad {key} value {value!r}: {error}")
+    return InterferenceConfig(**values)
 
 
 _JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
@@ -594,4 +598,7 @@ def config_from_dict(raw: dict) -> InterferenceConfig:
         else:
             expected = _JSON_TYPES[kind] + (" or null" if optional else "")
             raise ValueError(f"model config {key!r} must be {expected}, got {value!r}")
+        error = _field_error(field, values[field])
+        if error is not None:
+            raise ValueError(f"model config {key!r}: {error}")
     return InterferenceConfig(**values)

@@ -26,6 +26,7 @@ from .pipeline import (
     DayCounts,
     PerturbedObservation,
     input_variable_samples,
+    natural_pool,
     natural_roi_totals,
     predict,
     resolve_rho,
@@ -248,7 +249,7 @@ def score_disruptions(
     Disruptions whose scores are undefined (no feasible traffic, missing
     disruption-day data) are reported on stderr and dropped.
     """
-    natural_days = _natural_pool(days, disruptions)
+    natural_days = natural_pool(days, disruptions)
     scored: list[tuple[int, float, float]] = []
     for k, z in enumerate(disruptions):
         try:
@@ -267,17 +268,6 @@ def score_disruptions(
         ScoreRecord(disruption_id=k, observable=s, severity=sev, selected=k in selected)
         for k, s, sev in scored
     ]
-
-
-def _natural_pool(
-    days: Mapping[int, DayCounts], disruptions: Sequence[Disruption]
-) -> list[DayCounts]:
-    """Days that belong to no disruption: the uncontaminated natural regime."""
-    disrupted = {z.day for z in disruptions}
-    pool = [days[d] for d in sorted(days) if d not in disrupted]
-    if not pool:
-        raise ValueError("no natural days remain after excluding disruption days")
-    return pool
 
 
 def run_evaluation(
@@ -302,7 +292,7 @@ def run_evaluation(
     """
     if rho_mode not in ("per-fold", "global"):
         raise ValueError(f"unknown rho_mode {rho_mode!r}")
-    natural_days = _natural_pool(days, disruptions)
+    natural_days = natural_pool(days, disruptions)
     scores = score_disruptions(days, disruptions, g, cfg, top_n)
     selected_ids = sorted(r.disruption_id for r in scores if r.selected)
     observations = {

@@ -21,6 +21,9 @@ embeddings to the single observed disruption-day exit vector; prediction
 combines new inputs with the fitted coefficients and projects the result
 onto a basis of rescaled natural marginals for sampling.
 
+Journeys arrive as a day's int64 columns origin, destination, t_entry,
+t_exit (the layout the generator and `data_io.load_journeys` produce), and
+`aggregate_columns` validates them and counts them into `DayCounts`.
 Exit-count tensors stay sparse: a day is four int64 columns (origin,
 destination, exit minute, count) with one row per distinct key, never a
 dense array. Every feature is a window sum over those columns, taken by
@@ -32,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .kernels import (
     GAUSSIAN,
+    LAPLACE,
     KernelConfig,
     SampleSet,
     embed,
@@ -49,13 +53,12 @@ from .regression import MixtureEmbeddingModel, TrainingPairs, fit_mixture_embedd
 from .sampler import Basis, FittedMixture, fit_mixture_weights, sample_mixture
 
 __all__ = [
-    "JourneyRecord",
     "DayCounts",
     "InterferenceConfig",
     "PerturbedObservation",
-    "aggregate_day",
     "aggregate_columns",
     "roi_exit_vector",
+    "natural_pool",
     "natural_roi_totals",
     "input_variable_samples",
     "DisruptionFeatures",
@@ -74,22 +77,6 @@ N_TUBE_INPUTS = 5
 
 X5_MEAN = "mean"
 X5_SUM = "sum"
-
-
-@dataclass(frozen=True)
-class JourneyRecord:
-    """One journey: origin, destination, entry minute, exit minute."""
-
-    origin: int
-    destination: int
-    t_entry: int
-    t_exit: int
-
-    def __post_init__(self) -> None:
-        if self.origin < 0 or self.destination < 0:
-            raise ValueError(f"negative station id in journey {self}")
-        if self.t_entry > self.t_exit:
-            raise ValueError(f"t_entry {self.t_entry} exceeds t_exit {self.t_exit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +171,12 @@ class InterferenceConfig:
             raise ValueError(f"unknown x5_mode {self.x5_mode!r}")
         if self.g_convention not in ("inverted", "paper"):
             raise ValueError(f"unknown g_convention {self.g_convention!r}")
+        if self.kernel_family not in (GAUSSIAN, LAPLACE):
+            raise ValueError(f"unknown kernel family {self.kernel_family!r}")
         if self.rho is not None and not self.rho > 0:
             raise ValueError(f"rho must be positive or None, got {self.rho}")
+        if self.ridge is not None and not self.ridge >= 0:
+            raise ValueError(f"ridge must be nonnegative or None, got {self.ridge}")
 
     def kernel(self) -> KernelConfig:
         if self.rho is None:
@@ -251,16 +242,6 @@ def aggregate_columns(
     return DayCounts(day=day, origin=o, destination=d, t_exit=tx)
 
 
-def aggregate_day(
-    journeys: Sequence[JourneyRecord], day: int, n_nodes: int, t_window: tuple[int, int]
-) -> DayCounts:
-    """Count journeys by (origin, destination, exit minute); validates every record."""
-    cols = np.array(
-        [(j.origin, j.destination, j.t_entry, j.t_exit) for j in journeys], dtype=np.int64
-    ).reshape(-1, 4)
-    return aggregate_columns(day, *cols.T, n_nodes=n_nodes, t_window=t_window)
-
-
 def _window_scan(
     days: Sequence[DayCounts], z: Disruption
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,6 +281,17 @@ def roi_exit_vector(dc: DayCounts, z: Disruption) -> np.ndarray:
         raise ValueError(f"day mismatch: counts are for day {dc.day}, disruption is day {z.day}")
     cell, _, count = _window_scan([dc], z)
     return _cell_totals(cell, count, 1, len(z.roi))[0].astype(np.int64)
+
+
+def natural_pool(
+    days: Mapping[int, DayCounts], disruptions: Sequence[Disruption]
+) -> list[DayCounts]:
+    """Days that belong to no disruption, in day order: the uncontaminated natural regime."""
+    disrupted = {z.day for z in disruptions}
+    pool = [days[d] for d in sorted(days) if d not in disrupted]
+    if not pool:
+        raise ValueError("no natural days remain after excluding disruption days")
+    return pool
 
 
 def _sorted_natural_days(natural_days: Sequence[DayCounts], z: Disruption) -> list[DayCounts]:

@@ -253,11 +253,6 @@ def training_objective(pairs: TrainingPairs, coeffs) -> float:
     c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
     if c.shape[0] != pairs.arity:
         raise ValueError(f"expected {pairs.arity} coefficients, got {c.shape[0]}")
-    total = 0.0
-    for tup, out in zip(pairs.inputs, pairs.outputs):
-        total += inner(out, out)
-        for i in range(pairs.arity):
-            total -= 2.0 * c[i] * inner(tup[i], out)
-            for j in range(pairs.arity):
-                total += c[i] * c[j] * inner(tup[i], tup[j])
-    return total
+    # sum_k <P_k, P_k> - 2 c^T b + c^T G c on the normal equations
+    G, b = _normal_equations(pairs)
+    return sum(inner(out, out) for out in pairs.outputs) - 2.0 * float(c @ b) + float(c @ G @ c)

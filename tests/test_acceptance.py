@@ -27,7 +27,6 @@ from distreg.kernels import Embedding
 from distreg.pipeline import (
     InterferenceConfig,
     PerturbedObservation,
-    aggregate_day,
     input_variable_samples,
     predict,
     resolve_rho,
@@ -44,7 +43,7 @@ from distreg.regression import (
 from distreg.sampler import Basis, expectation_gap, fit_mixture_weights, sample_mixture
 from distreg.simplex_qp import SimplexQPProblem, solve
 
-from util import gaussian_set, mixture_set, projected_operator_error, simplex_grid
+from util import dataset_days, gaussian_set, mixture_set, projected_operator_error, simplex_grid
 
 K = KernelConfig(GAUSSIAN, 0.5)
 
@@ -240,12 +239,6 @@ GRID_SCENARIO = SyntheticScenario(
 )
 
 
-def load_days(ds, n_nodes):
-    return {
-        d: aggregate_day(recs, d, n_nodes, ds.t_window) for d, recs in ds.journeys.items()
-    }
-
-
 def test_criterion_7_pipeline_structural_invariants():
     """X1+X2=X3 exactly on synthetic and paper-schema data; folds; feasible theta-hat."""
     cfg = InterferenceConfig()
@@ -253,7 +246,7 @@ def test_criterion_7_pipeline_structural_invariants():
 
     # synthetic grid scenario
     ds = generate_synthetic(GRID_SCENARIO)
-    days = load_days(ds, GRID_SCENARIO.n_nodes)
+    days = dataset_days(ds)
     naturals = [days[d] for d in range(GRID_SCENARIO.days)]
     for z in ds.disruptions:
         x1, x2, x3, x4, x5 = input_variable_samples(naturals, z, ds.graph, cfg)
@@ -275,7 +268,7 @@ def test_criterion_7_pipeline_structural_invariants():
         seed=3,
     )
     pds = generate_synthetic(paper)
-    pdays = load_days(pds, paper.n_nodes)
+    pdays = dataset_days(pds)
     pnaturals = [pdays[d] for d in range(paper.days)]
     pobs = [PerturbedObservation.from_day_counts(pdays[z.day], z) for z in pds.disruptions]
     for z in pds.disruptions:
@@ -324,7 +317,7 @@ def test_criterion_8_end_to_end_synthetic():
     """Grid D=30, N=30, K=12, phi=0.8, 10-fold: model beats random NLL >= 60%, baseline SE >= 50%."""
     t0 = time.time()
     ds = generate_synthetic(GRID_SCENARIO)
-    days = load_days(ds, GRID_SCENARIO.n_nodes)
+    days = dataset_days(ds)
     scores, records = run_evaluation(
         days,
         ds.disruptions,

@@ -286,6 +286,50 @@ class TestConfigHandling:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("kernel.family = foo", "kernel.family"), ("ridge = -1", "ridge")],
+        ids=["family", "ridge"],
+    )
+    def test_invalid_value_exit_2_names_file_line_and_key(
+        self, dataset, tmp_path, capsys, line, key
+    ):
+        _, _, data = dataset
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"xi = 0.25\n{line}\n")
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--data", str(data), "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert f"bad.txt line 2: bad {key} value" in err and "Traceback" not in err
+
+
+class TestNoNaturalDays:
+    @pytest.fixture
+    def all_disrupted(self, dataset, tmp_path):
+        """The CLI dataset with a disruption on every one of its days."""
+        _, _, data = dataset
+        shutil.copytree(data, tmp_path / "data")
+        days = [int(p.stem.removeprefix("journeys_day")) for p in data.glob("journeys_day*.csv")]
+        rows = "".join(f"{day},60,180,1;2\n" for day in sorted(days))
+        (tmp_path / "data" / "disruptions.csv").write_text("day,t_start,t_end,roi\n" + rows)
+        return tmp_path / "data"
+
+    def test_train_and_predict_exit_2(self, all_disrupted, trained, tmp_path, capsys):
+        _, model = trained
+        commands = [
+            ["train", "--data", str(all_disrupted), "--out", str(tmp_path / "m")],
+            predict_args(all_disrupted, model, tmp_path / "p"),
+            ["score", "--data", str(all_disrupted), "--out", str(tmp_path / "s.csv")],
+            ["evaluate", "--data", str(all_disrupted), "--out", str(tmp_path / "e")],
+        ]
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "no natural days remain after excluding disruption days" in err, argv[0]
+            assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):
@@ -316,8 +360,13 @@ class TestModelFile:
             (lambda raw: raw.update(config=[]), '"config"'),
             (lambda raw: raw.update(alpha=[1.0, "2"]), '"alpha"'),
             (lambda raw: [raw], "JSON object"),
+            (lambda raw: raw["config"].update({"kernel.family": "foo"}), "'kernel.family'"),
+            (lambda raw: raw["config"].update(ridge=-1), "'ridge'"),
         ],
-        ids=["xi-string", "R-null", "config-list", "alpha-string", "top-level-list"],
+        ids=[
+            "xi-string", "R-null", "config-list", "alpha-string", "top-level-list",
+            "family-unknown", "ridge-negative",
+        ],
     )
     def test_malformed_model_exit_2(self, trained, tmp_path, capsys, edit, named):
         data, model = trained

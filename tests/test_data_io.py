@@ -26,18 +26,20 @@ from distreg.data_io import (
     write_dataset,
 )
 from distreg.network import Disruption
-from distreg.pipeline import (
-    DayCounts,
-    InterferenceConfig,
-    JourneyRecord,
-    aggregate_day,
-    roi_exit_vector,
-)
+from distreg.pipeline import DayCounts, InterferenceConfig, aggregate_columns, roi_exit_vector
+from util import dataset_days
 
 
 def write(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
+
+
+def as_lists(journeys):
+    """Per-day journey columns as row lists, after checking their int64 (rows, 4) layout."""
+    for cols in journeys.values():
+        assert cols.dtype == np.int64 and cols.ndim == 2 and cols.shape[1] == 4
+    return {day: cols.tolist() for day, cols in journeys.items()}
 
 
 class TestLoadJourneys:
@@ -50,7 +52,7 @@ class TestLoadJourneys:
             tmp_path / "journeys_day3.csv",
             "origin,destination,t_entry,t_exit\n3,7,510,530\n",
         )
-        assert load_journeys(p) == {3: [JourneyRecord(3, 7, 510, 530)]}
+        assert as_lists(load_journeys(p)) == {3: [[3, 7, 510, 530]]}
 
     def test_day_column_accepted(self, tmp_path):
         p = write(
@@ -102,10 +104,7 @@ class TestLoadJourneys:
             tmp_path / "journeys.csv",
             "t_exit,day,origin,destination,t_entry\n9,2,0,1,7\n6,0,1,2,5\n8,2,3,4,1\n",
         )
-        assert load_journeys(p) == {
-            2: [JourneyRecord(0, 1, 7, 9), JourneyRecord(3, 4, 1, 8)],
-            0: [JourneyRecord(1, 2, 5, 6)],
-        }
+        assert as_lists(load_journeys(p)) == {2: [[0, 1, 7, 9], [3, 4, 1, 8]], 0: [[1, 2, 5, 6]]}
 
     def test_no_day_anywhere(self, tmp_path):
         p = write(tmp_path / "journeys.csv", "origin,destination,t_entry,t_exit\n1,2,5,6\n")
@@ -199,19 +198,16 @@ class TestGenerateSynthetic:
         ds1 = generate_synthetic(replace(SCENARIO, phi=1.0))
         for day in ds0.journeys:
             a, b = ds0.journeys[day], ds1.journeys[day]
-            assert len(a) == len(b)
-            for ja, jb in zip(a, b):
-                assert (ja.origin, ja.t_entry, ja.t_exit) == (jb.origin, jb.t_entry, jb.t_exit)
+            assert a.shape == b.shape
+            # origin, t_entry, t_exit
+            assert np.array_equal(a[:, [0, 2, 3]], b[:, [0, 2, 3]])
 
     def test_phi_zero_perturbed_day_within_natural_spread(self):
         from dataclasses import replace
 
         ds = generate_synthetic(replace(SCENARIO, phi=0.0))
         z = ds.disruptions[0]
-        days = {
-            d: aggregate_day(r, d, SCENARIO.n_nodes, ds.t_window)
-            for d, r in ds.journeys.items()
-        }
+        days = dataset_days(ds)
         naturals = np.stack(
             [roi_exit_vector(day_forced(days[d], z.day), z) for d in range(6)]
         )
@@ -224,20 +220,20 @@ class TestGenerateSynthetic:
         from dataclasses import replace
 
         ds = generate_synthetic(replace(SCENARIO, phi=1.0))
+        days = dataset_days(ds)
         for z, truth in zip(ds.disruptions, ds.ground_truth):
-            days = aggregate_day(ds.journeys[z.day], z.day, SCENARIO.n_nodes, ds.t_window)
             assert truth.scale == 0.0
-            assert np.all(roi_exit_vector(days, z) == 0)
+            assert np.all(roi_exit_vector(days[z.day], z) == 0)
 
     def test_rerouted_exits_stay_out_of_roi(self):
         from dataclasses import replace
 
         ds = generate_synthetic(replace(SCENARIO, phi=1.0))
         for z in ds.disruptions:
-            roi = set(z.roi)
-            for j in ds.journeys[z.day]:
-                if z.t_start <= j.t_exit <= z.t_end:
-                    assert j.destination not in roi
+            _, destination, _, t_exit = ds.journeys[z.day].T
+            in_window = (z.t_start <= t_exit) & (t_exit <= z.t_end)
+            assert in_window.any()
+            assert not np.isin(destination[in_window], z.roi).any()
 
     def test_disconnected_graph_rejected(self):
         s = SyntheticScenario(
@@ -258,12 +254,87 @@ def day_forced(dc, day):
     return DayCounts(day, dc.origin, dc.destination, dc.t_exit, dc.count)
 
 
+# sha256 of every file `distreg simulate` writes, recorded before the generator
+# was vectorised, so any shift in its draw stream shows. The cycle's short day
+# makes zero-range t_entry draws (t_exit == t_min) common; they draw nothing.
+GOLDEN_SCENARIOS = {
+    "grid": (
+        dict(
+            topology="grid", n_nodes=12, days=4, n_disruptions=2,
+            phi=0.8, window_min=80, window_max=140, seed=42,
+        ),
+        {
+            "config.txt": "3b78cd149487a32eae0e43acf59a831066b4adb4489a04fc9db86b435142157d",
+            "disruptions.csv": "4ad89f35201971b0b18a4a6a049b846a31a29cce848f9b8226a418db0b7068cc",
+            "graph.csv": "2a3e72851aadd9aa5c28185179d6934f51c9d3b43612a07936efc9941b96433a",
+            "ground_truth.csv": "6ad94e879830794ab11a600eeb028a889235d33c15ebcef3622b4fbe00901eb6",
+            "journeys_day0.csv": "cbab1adcd9a1195c4e24ffb30f63a2dc2b59e4843b085b34847f4114745dc6cf",
+            "journeys_day1.csv": "1028c8f426067ca534d1dac1494d425b530a0749a7a109ced7b7f732be336d34",
+            "journeys_day2.csv": "3daf184cbb2dc95ff5c102ec9c94191a608be531e3df92aa7e8b6c437e2ca5f1",
+            "journeys_day3.csv": "33791589354657ba771206fb4973502c28eac03050385e19301fbdde69d9781a",
+            "journeys_day4.csv": "5f0cf4b4b7f8209218dfb305820669e07aa9edb0233010e00f1f1e169c6b7a9a",
+            "journeys_day5.csv": "ee429cf3eaca0dfff6a4c8924f5a75e3a5159fbbb75706bbb0fa5aacd0d09991",
+        },
+    ),
+    "erdos-renyi": (
+        dict(
+            topology="erdos-renyi", n_nodes=10, er_p=0.4, days=3,
+            n_disruptions=2, roi_links=2, phi=0.5, seed=3,
+        ),
+        {
+            "config.txt": "f4f0fe74d13e527332eac78a7492ef11368861df4f9f9bf516954a541773fd0f",
+            "disruptions.csv": "cc42858b938e1453ebc08737fe4688d235ebc4fc4bb5a558f8812dce0e21e661",
+            "graph.csv": "35fedfa9d0c2dedcc8922c763ed6cd2a7518311eee73c5c865308109971b28ed",
+            "ground_truth.csv": "bcec314ce35e981b8bc759b7f6c272353a2e87cb51aa367ef3726eaf36709bce",
+            "journeys_day0.csv": "004aa47a820ed3469df45af119187a97b251a2d46ac1bc3bddd25b9f75ea767d",
+            "journeys_day1.csv": "f727726ff9f7c6cecf44ca381c006137bb1cfc209e30ce7bf3f38b760cf22007",
+            "journeys_day2.csv": "d429cfd922c2fc963fa2ae8205112cdb40b8b4db98211e916bc6c0d5b0ea5b97",
+            "journeys_day3.csv": "ccc11986eeac64ffe5a8dfbd99b6cf7dfde836950c950061524e1f4ca88f53a9",
+            "journeys_day4.csv": "609fd2c9ee69b8220cdcf6b1a5cd60514b0a30d103a694e479cc0d17ca0e0cf9",
+        },
+    ),
+    "path": (
+        dict(
+            topology="path", n_nodes=6, days=3,
+            n_disruptions=2, phi=1.0, seed=5,
+        ),
+        {
+            "config.txt": "ac822fed99f91f82e554def6592ef2fae266bbeca98a1e5324eb524d6d4a9b2c",
+            "disruptions.csv": "802c0543692223975a9a05c83761c8075013a8d14b13de005a4542b7ffa49486",
+            "graph.csv": "8903cc457c199a7617b969c3dca05511f35c7ee01a2e602df637e728bf683ae0",
+            "ground_truth.csv": "342ee9b978d4109d6cd2236b555e3669702439570f6ece127c077f6bf8e7ecad",
+            "journeys_day0.csv": "c366a73771f47e87ecc4f7029dc1ac63a27624046ba31cfc5209f77c2bdcade6",
+            "journeys_day1.csv": "36c5695d28d49ea340c180b031661e9bdfc503b3b59c3d0b811c8cc557f6936c",
+            "journeys_day2.csv": "928f78d18e508357e92a1aaeaa122da81dbc7af7d9687b8c75054f0e2cfd3873",
+            "journeys_day3.csv": "51b074a1d8877693980f27b7f9baa9ade31e3e8e38166e91212839189e449eb2",
+            "journeys_day4.csv": "b644ee58933313e40dc0b7c6886a8e9486acaf30c12db9ec99e5080e8a546c93",
+        },
+    ),
+    "cycle": (
+        dict(
+            topology="cycle", n_nodes=7, days=3, n_disruptions=2, phi=0.6,
+            t_max=20, window_min=1, window_max=10, seed=9,
+        ),
+        {
+            "config.txt": "75e759b1f4764121a290c01499aee1cd7beb72cc04f798132c2e148ab142f5b3",
+            "disruptions.csv": "ca48e75ba84b5e2ab8c45f504e363ece2d56d89ec86b052b03280a971af85897",
+            "graph.csv": "cdfa743ee5db69e54e610deccc27d2f6d5f6a237885e0ab3dabb31b2a22ce4b0",
+            "ground_truth.csv": "052a2f2d331022d41e7bfd178f73066872500eb0f0a4989247bebf91e569d372",
+            "journeys_day0.csv": "99f477f36131da99c355d18927fce52feb1cba4087d8f546299088d1c35c6e1f",
+            "journeys_day1.csv": "b3aa8a06b0b7232a1431570600dc2050de9ee5c7649449f19c4f08f483601759",
+            "journeys_day2.csv": "d8dd80a7317f76db32047d5e79b1c18d86353f527ad56122d0e748e58814ed2e",
+            "journeys_day3.csv": "394d4533137ea33a753871f53583b26775a87ae172fa09522bdf08c199057577",
+            "journeys_day4.csv": "bda2dc8f3e9303fd5aceabccb65411b44543f4c20c38970fbfbb04da8a3babbc",
+        },
+    ),
+}
+
+
 class TestRoundTrip:
     def test_write_then_load_reproduces_structures(self, tmp_path):
         ds = generate_synthetic(SCENARIO)
         write_dataset(ds, tmp_path, config=InterferenceConfig(seed=SCENARIO.seed))
-        journeys = load_journeys_dir(tmp_path)
-        assert journeys == ds.journeys
+        assert as_lists(load_journeys_dir(tmp_path)) == as_lists(ds.journeys)
         graph = load_graph(tmp_path / "graph.csv")
         assert np.array_equal(graph.adjacency, ds.graph.adjacency)
         assert load_disruptions(tmp_path / "disruptions.csv") == ds.disruptions
@@ -282,6 +353,14 @@ class TestRoundTrip:
 
         assert digest(d1) == digest(d2)
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_written_bytes_match_recorded_digests(self, tmp_path, name):
+        kwargs, want = GOLDEN_SCENARIOS[name]
+        s = SyntheticScenario(**kwargs)
+        write_dataset(generate_synthetic(s), tmp_path, config=InterferenceConfig(seed=s.seed))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == want
+
     def test_load_dataset_bundle(self, tmp_path):
         ds = generate_synthetic(SCENARIO)
         write_dataset(ds, tmp_path)
@@ -293,12 +372,14 @@ class TestRoundTrip:
         assert bundle.t_window[1] >= max(z.t_end for z in ds.disruptions)
 
 
-    def test_load_dataset_matches_aggregated_records(self, tmp_path):
+    def test_load_dataset_matches_aggregated_columns(self, tmp_path):
         ds = generate_synthetic(SCENARIO)
         write_dataset(ds, tmp_path)
         bundle = load_dataset(tmp_path)
-        for day, recs in ds.journeys.items():
-            want = aggregate_day(recs, day, SCENARIO.n_nodes, bundle.t_window)
+        for day, cols in ds.journeys.items():
+            want = aggregate_columns(
+                day, *cols.T, n_nodes=SCENARIO.n_nodes, t_window=bundle.t_window
+            )
             got = bundle.days[day]
             assert got.day == day
             for name in ("origin", "destination", "t_exit", "count"):

@@ -24,10 +24,10 @@ from distreg.evaluation import (
     uniform_simplex,
 )
 from distreg.network import Disruption
-from distreg.pipeline import DayCounts, InterferenceConfig, aggregate_day, input_variable_samples
+from distreg.pipeline import DayCounts, InterferenceConfig, input_variable_samples
 from distreg.sampler import Basis
 
-from util import gaussian_set
+from util import dataset_days, gaussian_set
 
 
 class TestObservableScore:
@@ -241,11 +241,7 @@ def small_dataset(seed=0, phi=0.8, n_disruptions=4):
         seed=seed,
     )
     ds = generate_synthetic(scenario)
-    days = {
-        d: aggregate_day(recs, d, scenario.n_nodes, ds.t_window)
-        for d, recs in ds.journeys.items()
-    }
-    return ds, days
+    return ds, dataset_days(ds)
 
 
 class TestBaselineAndRandomModels:
@@ -356,10 +352,7 @@ class TestRunEvaluation:
             rate_low=0.8, rate_high=1.6, window_min=80, window_max=140, seed=11,
         )
         ds = generate_synthetic(scenario)
-        days = {
-            d: aggregate_day(recs, d, scenario.n_nodes, ds.t_window)
-            for d, recs in ds.journeys.items()
-        }
+        days = dataset_days(ds)
         original = pipeline.input_variable_samples
         calls = []
 

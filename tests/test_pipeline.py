@@ -10,9 +10,8 @@ from distreg.network import Disruption, Graph, disrupted_adjacency, feasible_ori
 from distreg.pipeline import (
     DayCounts,
     InterferenceConfig,
-    JourneyRecord,
     PerturbedObservation,
-    aggregate_day,
+    aggregate_columns,
     build_basis,
     input_variable_samples,
     natural_roi_totals,
@@ -65,33 +64,32 @@ Z = Disruption(day=9, t_start=20, t_end=60, roi=(1, 2))
 CFG = InterferenceConfig()
 
 
+def aggregate(rows):
+    """aggregate_columns over day 0's (origin, destination, t_entry, t_exit) rows."""
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return aggregate_columns(0, *cols.T, n_nodes=5, t_window=WINDOW)
+
+
 class TestAggregateDay:
+    """aggregate_columns on one day's journey columns."""
+
     def test_empty(self):
-        dc = aggregate_day([], day=0, n_nodes=5, t_window=WINDOW)
+        dc = aggregate([])
         assert as_dict(dc) == {} and dc.total == 0
 
     def test_multiplicity(self):
-        recs = [JourneyRecord(0, 1, 5, 10)] * 3
-        dc = aggregate_day(recs, day=0, n_nodes=5, t_window=WINDOW)
+        dc = aggregate([(0, 1, 5, 10)] * 3)
         assert as_dict(dc) == {(0, 1, 10): 3}
 
     def test_total_matches_row_count(self):
-        recs = [
-            JourneyRecord(0, 1, 5, 10),
-            JourneyRecord(0, 1, 5, 10),
-            JourneyRecord(2, 3, 0, 7),
-            JourneyRecord(4, 0, 1, 99),
-            JourneyRecord(1, 1, 2, 2),
-        ]
-        dc = aggregate_day(recs, day=0, n_nodes=5, t_window=WINDOW)
+        dc = aggregate([(0, 1, 5, 10), (0, 1, 5, 10), (2, 3, 0, 7), (4, 0, 1, 99), (1, 1, 2, 2)])
         assert dc.total == 5
 
     def test_errors_name_offending_row(self):
-        recs = [JourneyRecord(0, 1, 5, 10), JourneyRecord(0, 7, 5, 10)]
         with pytest.raises(ValueError, match="row 1"):
-            aggregate_day(recs, day=0, n_nodes=5, t_window=WINDOW)
+            aggregate([(0, 1, 5, 10), (0, 7, 5, 10)])
         with pytest.raises(ValueError, match="row 0"):
-            aggregate_day([JourneyRecord(0, 1, 5, 200)], day=0, n_nodes=5, t_window=WINDOW)
+            aggregate([(0, 1, 5, 200)])
 
 
 class TestDayCounts:

@@ -5,6 +5,7 @@ import pytest
 
 from distreg import (
     GAUSSIAN,
+    LAPLACE,
     KernelConfig,
     SampleSet,
     combine,
@@ -305,6 +306,48 @@ class TestMixtureDistributions:
         pairs = TrainingPairs(inputs=(tup,), outputs=(embed(K, gaussian_set(rng, 1.0, 15)),))
         w = fit_mixture_distributions(pairs).w
         assert np.min(w) >= -1e-12 and abs(float(np.sum(w)) - 1.0) <= 1e-9
+
+
+def training_objective_loop(pairs, c):
+    """The objective as a triple loop over embedding inner products (reference)."""
+    total = 0.0
+    for tup, out in zip(pairs.inputs, pairs.outputs):
+        total += inner(out, out)
+        for i in range(pairs.arity):
+            total -= 2.0 * c[i] * inner(tup[i], out)
+            for j in range(pairs.arity):
+                total += c[i] * c[j] * inner(tup[i], tup[j])
+    return total
+
+
+class TestTrainingObjective:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_inner_product_loop(self, seed):
+        rng = np.random.default_rng([22, seed])
+        kernel = KernelConfig((GAUSSIAN, LAPLACE)[seed % 2], float(rng.uniform(0.1, 2.0)))
+        arity, n_pairs = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+
+        def draw(dim):
+            n = int(rng.integers(1, 15))
+            return embed(kernel, gaussian_set(rng, rng.normal(0.0, 2.0), n, dim))
+
+        inputs, outputs = [], []
+        for _ in range(n_pairs):
+            dim = int(rng.integers(1, 4))  # pairs may live on different output spaces
+            inputs.append(tuple(draw(dim) for _ in range(arity)))
+            outputs.append(draw(dim))
+        pairs = TrainingPairs(inputs=tuple(inputs), outputs=tuple(outputs))
+        c = rng.normal(0.0, 1.0, arity)
+        assert training_objective(pairs, c) == pytest.approx(
+            training_objective_loop(pairs, c), rel=1e-12, abs=0.0
+        )
+
+    def test_coefficient_count_checked(self):
+        rng = np.random.default_rng(23)
+        e = embed(K, gaussian_set(rng, 0.0, 5))
+        pairs = TrainingPairs(inputs=((e,),), outputs=(e,))
+        with pytest.raises(ValueError, match="expected 1 coefficients"):
+            training_objective(pairs, [0.5, 0.5])
 
 
 class TestPredictEmbedding:

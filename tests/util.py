@@ -4,7 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from distreg import Embedding, KernelConfig, SampleSet, embed, eval_kernel
+from distreg import (
+    DayCounts,
+    Embedding,
+    KernelConfig,
+    SampleSet,
+    aggregate_columns,
+    embed,
+    eval_kernel,
+)
+
+
+def dataset_days(ds) -> dict[int, DayCounts]:
+    """A generated dataset's journey columns aggregated per day, as `load_dataset` does."""
+    return {
+        day: aggregate_columns(day, *cols.T, n_nodes=ds.graph.n_nodes, t_window=ds.t_window)
+        for day, cols in ds.journeys.items()
+    }
 
 
 def gaussian_set(rng: np.random.Generator, mean: float, n: int, dim: int = 1) -> SampleSet:
