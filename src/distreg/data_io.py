@@ -258,7 +258,21 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
 
 
 def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: InterferenceConfig | None = None) -> None:
+    """Write the dataset's CSV files (and config.txt if given) into out_dir.
+
+    `load_dataset` reads every journeys*.csv in a directory, so a journeys
+    file this dataset would not overwrite, say from an earlier and longer
+    scenario, is refused with a ValueError before anything is written;
+    nothing is deleted.
+    """
     out = Path(out_dir)
+    names = {f"journeys_day{day}.csv" for day in ds.journeys}
+    stale = sorted(p.name for p in out.glob("journeys*.csv") if p.name not in names)
+    if stale:
+        raise ValueError(
+            f"{out / stale[0]}: journeys file not part of this dataset ({len(stale)} such in "
+            f"{out}); load_dataset would read it, so remove it or write to another directory"
+        )
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "graph.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

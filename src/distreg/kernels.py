@@ -36,6 +36,8 @@ __all__ = [
     "embedding_gram",
     "mmd2",
     "median_heuristic",
+    "median_pairwise_distance",
+    "rho_from_median",
     "combine",
     "pairwise_distances",
 ]
@@ -237,6 +239,11 @@ def mmd2(a: Embedding, b: Embedding) -> float:
     return v
 
 
+def _upper_triangle(n: int) -> np.ndarray:
+    """Mask of the (i, j), i < j, entries of an n x n matrix; row-major order."""
+    return np.arange(n)[:, None] < np.arange(n)[None, :]
+
+
 def pairwise_distances(X, family: str = GAUSSIAN) -> np.ndarray:
     """Condensed vector of pairwise distances (i < j).
 
@@ -246,8 +253,7 @@ def pairwise_distances(X, family: str = GAUSSIAN) -> np.ndarray:
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     Xm = _as_matrix(X)
-    n = Xm.shape[0]
-    D = _dists(Xm, Xm, family)[np.arange(n)[:, None] < np.arange(n)[None, :]]
+    D = _dists(Xm, Xm, family)[_upper_triangle(Xm.shape[0])]
     if family == GAUSSIAN:
         np.sqrt(D, out=D)
     return D
@@ -262,26 +268,94 @@ def subsample_rows(X: np.ndarray, cap: int = 1000) -> np.ndarray:
     return X[::stride][:cap]
 
 
-def median_heuristic(X: SampleSet, family: str = GAUSSIAN) -> float:
-    """Bandwidth from the median pairwise distance of the sample set.
+def _weighted_select(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[float, int]:
+    """k-th smallest (0-based) of the multiset holding weights[i] copies of values[i].
 
-    gaussian: rho = 1 / (2 m^2) with m the median Euclidean distance;
-    laplace:  rho = 1 / m with m the median l1 distance.
+    Returns the value and the total weight strictly below it. Quickselect
+    with the unweighted median of the remaining values as pivot, so every
+    round drops at least half of them. Needs 0 <= k < weights.sum() and
+    positive weights.
+    """
+    offset = 0
+    while True:
+        mid = values.shape[0] // 2
+        pivot = np.partition(values, mid)[mid]
+        below = values < pivot
+        w_below = int(np.sum(weights[below]))
+        if k < w_below:
+            values, weights = values[below], weights[below]
+            continue
+        w_upto = w_below + int(np.sum(weights[values == pivot]))
+        if k < w_upto:
+            return float(pivot), offset + w_below
+        k -= w_upto
+        offset += w_upto
+        above = values > pivot
+        values, weights = values[above], weights[above]
+
+
+def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
+    """Median of the union of each pool's within-pool pairwise distances.
+
+    Equal to `np.median` over the concatenated `pairwise_distances` of
+    every pool, after `subsample_rows`, but that vector is never built.
+    Each pool collapses to its distinct rows with their counts c, and one
+    `pairwise_distances` call on the distinct rows gives every distance:
+    a pair of distinct rows u, v stands for c_u * c_v equal distances, and
+    each row for c (c - 1) / 2 exact zeros. Equal rows give bit-identical
+    distances, so the multiset, and the median, is exactly the same. The
+    middle order statistics come from weighted partition-based selection,
+    and an even total returns the mean of the two, as `np.median` does.
+    """
+    values, weights = [], []
+    zeros = 0
+    for pool in pools:
+        rows, counts = np.unique(subsample_rows(_as_matrix(pool)), axis=0, return_counts=True)
+        values.append(pairwise_distances(rows, family))
+        weights.append(np.multiply.outer(counts, counts)[_upper_triangle(rows.shape[0])])
+        zeros += int(np.sum(counts * (counts - 1))) // 2
+    if zeros:
+        values.append(np.zeros(1))
+        weights.append(np.array([zeros]))
+    if not any(w.size for w in weights):
+        raise ValueError("median pairwise distance needs a pool of at least 2 samples")
+    values, weights = np.concatenate(values), np.concatenate(weights)
+    total = int(np.sum(weights))
+    k = total // 2
+    hi, below = _weighted_select(values, weights, k)
+    if total % 2:
+        return hi
+    lo = hi if below < k else float(np.max(values[values < hi]))
+    return float(np.mean([lo, hi]))
+
+
+def rho_from_median(m: float, family: str) -> float:
+    """Median-heuristic bandwidth for median distance m > 0.
+
+    gaussian: rho = 1 / (2 m^2) with m a Euclidean distance;
+    laplace:  rho = 1 / m with m an l1 distance.
+    """
+    if family == GAUSSIAN:
+        return 1.0 / (2.0 * m * m)
+    return 1.0 / m
+
+
+def median_heuristic(X: SampleSet, family: str = GAUSSIAN) -> float:
+    """Bandwidth `rho_from_median` of the sample set's median pairwise distance.
+
     Sample sets larger than 1000 points are deterministically strided
-    down before the quadratic pairwise computation.
+    down first. The median is the exact weighted median over the distinct
+    rows (`median_pairwise_distance`); no vector of all pairwise
+    distances is built.
     """
     if len(X) < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    sub = subsample_rows(X.samples)
-    dists = pairwise_distances(sub, family)
-    m = float(np.median(dists))
+    m = median_pairwise_distance([X.samples], family)
     if m <= 0.0:
         raise ValueError(
             "median pairwise distance is zero (all samples identical); pass an explicit rho"
         )
-    if family == GAUSSIAN:
-        return 1.0 / (2.0 * m * m)
-    return 1.0 / m
+    return rho_from_median(m, family)
 
 
 def combine(embeddings: Sequence[Embedding], coeffs) -> Embedding:

@@ -45,8 +45,8 @@ from .kernels import (
     KernelConfig,
     SampleSet,
     embed,
-    pairwise_distances,
-    subsample_rows,
+    median_pairwise_distance,
+    rho_from_median,
 )
 from .network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from .regression import MixtureEmbeddingModel, TrainingPairs, fit_mixture_embeddings, predict_embedding
@@ -399,7 +399,9 @@ def resolve_rho(
     disruption, the input rows, the observed exit vector, and the basis
     rows; the median is taken over the union of within-disruption
     pairwise distances (dimensions differ across disruptions, distances
-    pool fine).
+    pool fine). It is the exact weighted median over each pool's distinct
+    rows (`kernels.median_pairwise_distance`), found without building the
+    pooled distance vector.
     """
     features = _features(natural_days, observations, g, cfg)
     return resolve_rho_from_features(observations, features, cfg)
@@ -411,20 +413,16 @@ def resolve_rho_from_features(
     cfg: InterferenceConfig,
 ) -> float:
     """resolve_rho on precomputed features, one per observation and in the same order."""
-    all_dists = []
-    for obs, f in zip(observations, features, strict=True):
-        rows = [s.samples for s in f.inputs]
-        rows.append(obs.exit_vector[None, :])
-        rows.append(f.basis_rows[0])
-        pool = subsample_rows(np.vstack(rows))
-        all_dists.append(pairwise_distances(pool, cfg.kernel_family))
-    dists = np.concatenate(all_dists)
-    m = float(np.median(dists))
+    if len(observations) == 0:
+        raise ValueError("need at least one observed disruption")
+    pools = [
+        np.vstack([*(s.samples for s in f.inputs), obs.exit_vector[None, :], f.basis_rows[0]])
+        for obs, f in zip(observations, features, strict=True)
+    ]
+    m = median_pairwise_distance(pools, cfg.kernel_family)
     if m <= 0.0:
         raise ValueError("pooled median distance is zero; pass an explicit rho")
-    if cfg.kernel_family == GAUSSIAN:
-        return 1.0 / (2.0 * m * m)
-    return 1.0 / m
+    return rho_from_median(m, cfg.kernel_family)
 
 
 def train(

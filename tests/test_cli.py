@@ -64,6 +64,29 @@ class TestSimulate:
     def test_missing_scenario_exit_2(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_stale_journeys_of_a_longer_scenario_exit_2(self, dataset, tmp_path, capsys):
+        _, scenario, data = dataset
+        shorter = tmp_path / "shorter.json"
+        shorter.write_text(json.dumps({**SCENARIO_JSON, "days": 5, "n_disruptions": 2}))
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert main(["simulate", "--scenario", str(shorter), "--out", str(fresh)]) == 0
+        def names(root):
+            return {p.name for p in root.glob("journeys*.csv")}
+
+        stale = sorted(names(data) - names(fresh))
+        assert stale
+        shutil.copytree(data, out)
+        before = dir_digest(out)
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(shorter), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out / stale[0]}: journeys file not part of this dataset ({len(stale)} such" in err
+        assert "Traceback" not in err
+        assert dir_digest(out) == before  # nothing written, nothing deleted
+        # the same scenario again overwrites its own files
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert dir_digest(out) == before
+
 
 class TestScore:
     def test_writes_scores_and_selects_all_when_top_large(self, dataset, tmp_path):
@@ -329,6 +352,19 @@ class TestNoNaturalDays:
             err = capsys.readouterr().err
             assert "no natural days remain after excluding disruption days" in err, argv[0]
             assert "Traceback" not in err
+
+
+class TestNoDisruptions:
+    def test_train_exit_2(self, dataset, tmp_path, capsys):
+        _, _, data = dataset
+        shutil.copytree(data, tmp_path / "data")
+        (tmp_path / "data" / "disruptions.csv").write_text("day,t_start,t_end,roi\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "need at least one observed disruption" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 """Kernel, Gram, and mean-embedding tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from distreg import (
     GAUSSIAN,
@@ -19,8 +23,15 @@ from distreg import (
     median_heuristic,
     mmd2,
 )
-from distreg import kernels
-from distreg.kernels import _dists, pairwise_distances
+from distreg import InterferenceConfig, kernels
+from distreg.kernels import (
+    _dists,
+    median_pairwise_distance,
+    pairwise_distances,
+    rho_from_median,
+    subsample_rows,
+)
+from distreg.pipeline import resolve_rho_from_features
 
 from util import double_sum_inner, gaussian_set
 
@@ -224,6 +235,45 @@ class TestMMD2:
             assert mmd2(a, b) >= 0.0
 
 
+@st.composite
+def embeddings(draw, count):
+    """`count` uniform embeddings under one kernel, on sample sets of one dimension."""
+    k = draw(st.sampled_from([K_G, K_L, KernelConfig(GAUSSIAN, 3.0)]))
+    dim = draw(st.integers(1, 3))
+    rows = st.tuples(st.integers(1, 8), st.just(dim))
+    coords = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-5.0, 5.0)
+    sets = [draw(hnp.arrays(np.float64, rows, elements=coords)) for _ in range(count)]
+    return [embed(k, SampleSet(x)) for x in sets]
+
+
+class TestEmbeddingAlgebraProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        es=embeddings(4),
+        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_combine_is_linear_in_the_inner_product(self, es, coeffs):
+        *parts, t = es
+        c = combine(parts, coeffs)
+        assert c.weights.tolist() == [x * w for x, e in zip(coeffs, parts) for w in e.weights]
+        want = sum(x * inner(e, t) for x, e in zip(coeffs, parts))
+        # every inner product of uniform embeddings lies in (0, 1]
+        assert abs(inner(c, t) - want) <= 1e-12 * (1.0 + sum(abs(x) for x in coeffs))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(es=embeddings(2), shift=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_mmd2_nonnegative_and_symmetric(self, es, shift):
+        a, b = es
+        # the same rows reversed (and shifted): the three inner products sum in other
+        # orders, so the unclamped difference often rounds below zero
+        near = embed(a.kernel, SampleSet(a.sample_set.samples[::-1] + shift))
+        for x, y in ((a, b), (a, near), (a, a)):
+            d = mmd2(x, y)
+            assert d >= 0.0
+            assert d == pytest.approx(mmd2(y, x), abs=1e-12)
+        assert mmd2(a, a) == 0.0
+
+
 class TestMedianHeuristic:
     def test_single_pair(self):
         assert median_heuristic(SampleSet(np.array([[0.0], [2.0]]))) == pytest.approx(0.125)
@@ -246,6 +296,100 @@ class TestMedianHeuristic:
         rng = np.random.default_rng(10)
         X = SampleSet(rng.normal(size=(2500, 1)))
         assert median_heuristic(X) == median_heuristic(X)
+
+
+def reference_median(pools, family):
+    """The pooled median as taken before the distinct-row helper: every distance, then np.median."""
+    return float(
+        np.median(np.concatenate([pairwise_distances(subsample_rows(p), family) for p in pools]))
+    )
+
+
+def reference_rho(m, family):
+    return 1.0 / (2.0 * m * m) if family == GAUSSIAN else 1.0 / m
+
+
+def stub_features(pools):
+    """Observations and features whose resolve_rho pools are exactly `pools` (>= 3 rows each)."""
+    observations = [SimpleNamespace(exit_vector=p[-2]) for p in pools]
+    features = [
+        SimpleNamespace(inputs=(SampleSet(p[:-2]),), basis_rows=(p[-1:], [])) for p in pools
+    ]
+    return observations, features
+
+
+# few distinct coordinates, so rows repeat often; 0.1, 0.2 and 0.3 make inexact sums
+COORDS = st.sampled_from([0.0, 1.0, -2.5, 0.1, 0.2, 0.3, 7.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def pool_lists(draw):
+    """1-4 pools of 3+ rows; a pool is sometimes cycled past 1000 rows (the subsample path)."""
+    pools = []
+    for _ in range(draw(st.integers(1, 4))):
+        dim = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(COORDS, min_size=dim, max_size=dim), min_size=3, max_size=25))
+        n = draw(st.sampled_from([len(rows), len(rows), len(rows), 1001, 1777]))
+        pools.append(np.resize(np.array(rows, dtype=np.float64), (n, dim)))
+    return pools
+
+
+def ex(*rows_per_pool):
+    return [np.array(rows, dtype=np.float64) for rows in rows_per_pool]
+
+
+class TestMedianPairwiseDistance:
+    """The distinct-row weighted median against every distance and np.median, compared with ==."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pools=pool_lists(), family=st.sampled_from([GAUSSIAN, LAPLACE]))
+    @example(pools=ex([[0.0], [1.0], [3.0]]), family=GAUSSIAN)  # 3 pairs: odd total
+    @example(pools=ex([[0.0], [1.0], [3.0], [7.0]]), family=LAPLACE)  # 6 pairs, middle two differ
+    @example(pools=ex([[0.0], [0.0], [1.0], [1.0]], [[2.0], [2.0], [2.0]]), family=GAUSSIAN)
+    @example(pools=ex([[0.0, 0.1], [0.0, 0.1], [0.2, 0.3], [0.0, 0.1], [5.0, 0.1]]), family=LAPLACE)
+    @example(  # cycled past the subsample cap, many duplicates
+        pools=[np.resize(np.array([[0.0, 1.0], [2.0, 0.5], [0.1, 0.2], [0.3, 0.0]]), (1507, 2))],
+        family=GAUSSIAN,
+    )
+    @example(pools=ex([[0.3, 0.3]] * 5), family=GAUSSIAN)  # all identical
+    @example(pools=ex([[0.3]] * 4, [[1.0], [2.0], [1.0]]), family=LAPLACE)  # median zero
+    def test_matches_concatenated_median(self, pools, family):
+        want = reference_median(pools, family)
+        m = median_pairwise_distance(pools, family)
+        assert m == want
+        observations, features = stub_features(pools)
+        cfg = InterferenceConfig(kernel_family=family)
+        if want > 0.0:
+            rho = reference_rho(want, family)
+            assert rho_from_median(m, family) == rho
+            assert resolve_rho_from_features(observations, features, cfg) == rho
+        else:
+            with pytest.raises(ValueError, match="pooled median distance is zero; pass an explicit"):
+                resolve_rho_from_features(observations, features, cfg)
+        if len(pools) == 1:
+            X = SampleSet(pools[0])
+            if want > 0.0:
+                assert median_heuristic(X, family) == rho
+            else:
+                with pytest.raises(ValueError, match=r"median pairwise distance is zero \(all samples"):
+                    median_heuristic(X, family)
+
+    def test_one_distance_call_per_pool_on_distinct_rows(self, monkeypatch):
+        calls = []
+
+        def counting(X, family=GAUSSIAN):
+            calls.append(len(X))
+            return pairwise_distances(X, family)
+
+        monkeypatch.setattr(kernels, "pairwise_distances", counting)
+        pools = ex([[0.0], [0.0], [1.0], [2.0], [1.0]], [[5.0], [6.0], [7.0]])
+        assert median_pairwise_distance(pools) == reference_median(pools, GAUSSIAN)
+        assert calls == [3, 3]
+
+    @pytest.mark.parametrize("pools", [[], ex([[1.0]]), ex([[1.0]], [[2.0, 3.0]])])
+    def test_needs_a_pair(self, pools):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            median_pairwise_distance(pools)
 
 
 class TestPairwiseDistances:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distreg.simplex_qp import (
     SimplexQPError,
@@ -39,6 +41,27 @@ class TestProjectSimplex:
             tau = taus[0]
             assert np.max(np.abs(taus - tau)) <= 1e-9
             assert np.all(v[~active] <= tau + 1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        v=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, -1.0]) | st.floats(-1e3, 1e3), min_size=1, max_size=12
+        )
+    )
+    def test_kkt_conditions_property(self, v):
+        # theta = max(v - tau, 0) on the simplex: one shift tau for the support,
+        # every coordinate outside it at or below tau
+        v = np.array(v)
+        out = project_simplex(v)
+        tol = 1e-9 * (1.0 + np.max(np.abs(v)))
+        assert np.all(out >= 0.0)
+        assert abs(np.sum(out) - 1.0) <= tol
+        active = out > 0.0
+        assert np.any(active)
+        taus = v[active] - out[active]
+        tau = taus[0]
+        assert np.max(np.abs(taus - tau)) <= tol
+        assert np.all(v[~active] <= tau + tol)
 
     def test_single_coordinate(self):
         assert project_simplex([-3.0]).tolist() == [1.0]
