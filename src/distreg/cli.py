@@ -214,6 +214,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distreg",
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--disruption", required=True, help="spec `day,t_start,t_end,roi1;roi2;...`"
     )
-    p.add_argument("--n-samples", type=int, default=400)
+    p.add_argument("--n-samples", type=_positive_int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_predict)
 
@@ -256,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None, help="protocol seed (defaults to config seed)")
     p.add_argument("--top", type=int, default=20)
-    p.add_argument("--n-samples", type=int, default=400)
+    p.add_argument("--n-samples", type=_positive_int, default=400)
     p.add_argument("--rho-mode", choices=["per-fold", "global"], default="per-fold")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -19,7 +19,8 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -42,6 +43,7 @@ __all__ = [
     "load_ground_truth",
     "load_dataset",
     "CONFIG_FIELDS",
+    "RETIRED_KEYS",
     "parse_config",
     "write_config",
     "config_to_dict",
@@ -73,6 +75,17 @@ class SyntheticScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str":
+                ok, expected = isinstance(value, str), "a string"
+            elif f.type == "int":
+                ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            else:  # an int compares with a float exactly, so a huge one cannot overflow
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+                ok, expected = ok and abs(value) <= sys.float_info.max, "a finite number"
+            if not ok:
+                raise ValueError(f"scenario {f.name!r} must be {expected}, got {value!r}")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; expected one of {_TOPOLOGIES}")
         if self.n_nodes < 2:
@@ -517,10 +530,15 @@ CONFIG_FIELDS = {
     "R": "rescale_levels",
     "c": "rescale_span",
     "ridge": "ridge",
-    "g_convention": "g_convention",
-    "x5_mode": "x5_mode",
     "seed": "seed",
 }
+
+# keys of earlier versions -> the one value still accepted (None: any value).
+# A config.txt line or model.json entry with that value is skipped; any other
+# value is refused, since this version would build something else from it.
+RETIRED_KEYS = {"beta": None, "I": N_TUBE_INPUTS, "g_convention": "inverted", "x5_mode": "mean"}
+# a refused (key, value) whose features this version builds from other settings
+_RETIRED_EQUIVALENTS = {("g_convention", "paper"): "xi = 1"}
 
 
 def _field_type(field: str) -> tuple[type, bool]:
@@ -538,6 +556,18 @@ def _field_error(field: str, value) -> str | None:
     return None
 
 
+def _retired_error(key: str, value) -> str | None:
+    """Why a retired key's value is refused, or None if it is the one still accepted."""
+    accepted = RETIRED_KEYS[key]
+    if accepted is None or value in (accepted, str(accepted)):
+        return None
+    error = f"{key} = {value}: retired key, only {key} = {accepted} is accepted"
+    equivalent = _RETIRED_EQUIVALENTS.get((key, str(value)))
+    if equivalent is not None:
+        error += f"; {equivalent} builds the same features as {value}"
+    return error
+
+
 def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
     lines = []
     for key, field in CONFIG_FIELDS.items():
@@ -549,9 +579,8 @@ def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
 def parse_config(path: Path | str) -> InterferenceConfig:
     """Flat key-value config: `key = value` lines, `#` comments, `auto` for rho/ridge.
 
-    Files written before the `beta` and `I` knobs were removed still load:
-    a `beta` line is skipped, and so is an `I` line whose value is the
-    pipeline's fixed input count.
+    Files of earlier versions still load: a line of a retired key (see
+    RETIRED_KEYS) holding its accepted value is skipped.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -565,23 +594,25 @@ def parse_config(path: Path | str) -> InterferenceConfig:
             raise ValueError(f"{where}: expected `key = value`, got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_FIELDS and key not in ("beta", "I"):
+        if key not in CONFIG_FIELDS and key not in RETIRED_KEYS:
             raise ValueError(f"{where}: unknown config key {key!r}")
         if key in seen:
             raise ValueError(f"{where}: duplicate config key {key!r}")
         seen.add(key)
-        if key == "I" and value != str(N_TUBE_INPUTS):
-            raise ValueError(f"{where}: I = {value}, but the pipeline builds {N_TUBE_INPUTS} inputs")
-        if key in CONFIG_FIELDS:
-            field = CONFIG_FIELDS[key]
-            kind, optional = _field_type(field)
-            try:
-                values[field] = None if optional and value == "auto" else kind(value)
-            except ValueError:
-                raise ValueError(f"{where}: bad {key} value {value!r}") from None
-            error = _field_error(field, values[field])
+        if key in RETIRED_KEYS:
+            error = _retired_error(key, value)
             if error is not None:
-                raise ValueError(f"{where}: bad {key} value {value!r}: {error}")
+                raise ValueError(f"{where}: {error}")
+            continue
+        field = CONFIG_FIELDS[key]
+        kind, optional = _field_type(field)
+        try:
+            values[field] = None if optional and value == "auto" else kind(value)
+        except ValueError:
+            raise ValueError(f"{where}: bad {key} value {value!r}") from None
+        error = _field_error(field, values[field])
+        if error is not None:
+            raise ValueError(f"{where}: bad {key} value {value!r}: {error}")
     return InterferenceConfig(**values)
 
 
@@ -596,8 +627,13 @@ def config_to_dict(cfg: InterferenceConfig) -> dict:
 def config_from_dict(raw: dict) -> InterferenceConfig:
     """Inverse of config_to_dict; every key must be present with a value of its JSON type.
 
-    Keys outside the table (older files' `beta` and `I`) are ignored.
+    A retired key (see RETIRED_KEYS) must hold its accepted value; other
+    keys outside the table are ignored.
     """
+    for key in RETIRED_KEYS:
+        error = _retired_error(key, raw[key]) if key in raw else None
+        if error is not None:
+            raise ValueError(f"model config {key!r}: {error}")
     values = {}
     for key, field in CONFIG_FIELDS.items():
         if key not in raw:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernels import SampleSet
+from .kernels import SampleSet, _as_matrix
 from .network import Disruption, Graph
 from .pipeline import (
     InterferenceConfig,
@@ -116,7 +116,7 @@ def severity_score(day_counts: DayCounts, natural_mean, z: Disruption) -> float:
 
 def select_top(scores: Sequence[tuple[int, float]], n: int) -> set[int]:
     """Ids of the n highest-scoring disruptions; ties broken by id ascending."""
-    if n > len(scores):
+    if not 0 <= n <= len(scores):
         raise ValueError(f"cannot select top {n} from {len(scores)} scores")
     ranked = sorted(scores, key=lambda item: (-item[1], item[0]))
     return {disruption_id for disruption_id, _ in ranked[:n]}
@@ -148,9 +148,7 @@ def silverman_h(samples) -> np.ndarray:
     Degenerate coordinates (zero spread) fall back to sigma = 1 so the
     density stays proper.
     """
-    arr = np.asarray(samples.samples if isinstance(samples, SampleSet) else samples, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = _as_matrix(samples)
     n = arr.shape[0]
     h = np.empty(arr.shape[1])
     for j in range(arr.shape[1]):
@@ -171,9 +169,7 @@ def kde_log_density(samples, h, y) -> np.ndarray:
     h may be a scalar or a per-coordinate vector; summation is stabilized
     by the usual max shift. Each marginal integrates to 1.
     """
-    arr = np.asarray(samples.samples if isinstance(samples, SampleSet) else samples, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = _as_matrix(samples)
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if yv.shape[0] != arr.shape[1]:
         raise ValueError(f"point has dim {yv.shape[0]}, samples have dim {arr.shape[1]}")
@@ -197,12 +193,7 @@ def nll(model_samples, observed, h) -> NLLResult:
 
 def squared_error(model_samples, observed) -> float:
     """|| mean(model samples) - observed ||^2 / ||observed||^2."""
-    arr = np.asarray(
-        model_samples.samples if isinstance(model_samples, SampleSet) else model_samples,
-        dtype=np.float64,
-    )
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = _as_matrix(model_samples)
     obs = np.asarray(observed, dtype=np.float64).reshape(-1)
     den = float(np.sum(obs**2))
     if den <= 0.0:
@@ -255,8 +246,7 @@ def score_disruptions(
         try:
             if z.day not in days:
                 raise ValueError(f"no journey data for disruption day {z.day}")
-            naturals = [dc for dc in natural_days if dc.day != z.day]
-            x1, x2, x3, _, _ = input_variable_samples(naturals, z, g, cfg)
+            x1, x2, x3, _, _ = input_variable_samples(natural_days, z, g, cfg)
             obs_score = observable_score(x1.samples, x2.samples)
             sev = severity_score(days[z.day], np.mean(x3.samples, axis=0), z)
         except ValueError as exc:

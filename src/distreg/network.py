@@ -2,8 +2,11 @@
 
 Distances are unweighted hop counts. A disruption removes every edge
 incident to a region-of-interest (ROI) station, which makes the ROI
-stations themselves unreachable in the disrupted graph; the detour score
-maps that disconnection to 1 (the limit of the hop-count ratio).
+stations themselves unreachable in the disrupted graph. The detour score
+is 1 - dist_natural / dist_disrupted, in [0, 1]: 0 when the path is
+unchanged, and 1 on disconnection (the limit of the hop-count ratio).
+`feasible_origins` is the vectorised form the feature pipeline uses;
+`detour_score` and `feasible` are its pairwise reference.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ __all__ = [
     "detour_score",
     "feasible",
     "feasible_origins",
-    "CONVENTION_INVERTED",
-    "CONVENTION_PAPER",
 ]
-
-CONVENTION_INVERTED = "inverted"
-CONVENTION_PAPER = "paper"
-_CONVENTIONS = (CONVENTION_INVERTED, CONVENTION_PAPER)
 
 
 @dataclass(frozen=True)
@@ -110,24 +107,12 @@ def disrupted_adjacency(g: Graph, roi: Sequence[int]) -> Graph:
     return Graph(adj)
 
 
-def detour_score(
-    g: Graph,
-    g_disrupted: Graph,
-    o: int,
-    d: int,
-    convention: str = CONVENTION_INVERTED,
-) -> float:
+def detour_score(g: Graph, g_disrupted: Graph, o: int, d: int) -> float:
     """Relative path lengthening caused by a disruption, for one origin-destination pair.
 
-    inverted (default): 1 - dist_A(o, d) / dist_disrupted(o, d), in [0, 1];
-        0 when the path is unchanged, 1 when the pair is disconnected
-        under the disrupted adjacency.
-    paper: the literal 1 - dist_disrupted(o, d) / dist_A(o, d), which is
-        <= 0 whenever the disruption lengthens the path (kept only for
-        comparison; -inf on disconnection).
+    1 - dist_A(o, d) / dist_disrupted(o, d), in [0, 1]: 0 when the path is
+    unchanged, 1 when the pair is disconnected under the disrupted adjacency.
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown g convention {convention!r}")
     _check_node(g, o, "origin")
     _check_node(g, d, "destination")
     if o == d:
@@ -138,54 +123,34 @@ def detour_score(
     if not np.isfinite(dist_nat):
         raise ValueError(f"nodes {o} and {d} are disconnected in the natural graph")
     dist_dis = float(bfs_distance(g_disrupted, o)[d])
-    if convention == CONVENTION_INVERTED:
-        if not np.isfinite(dist_dis):
-            return 1.0
-        return 1.0 - dist_nat / dist_dis
-    return 1.0 - dist_dis / dist_nat
+    if not np.isfinite(dist_dis):
+        return 1.0
+    return 1.0 - dist_nat / dist_dis
 
 
-def feasible(
-    o: int,
-    d: int,
-    g: Graph,
-    g_disrupted: Graph,
-    xi: float,
-    convention: str = CONVENTION_INVERTED,
-) -> bool:
+def feasible(o: int, d: int, g: Graph, g_disrupted: Graph, xi: float) -> bool:
     """True iff the detour score is at most xi (path not lengthened beyond the threshold)."""
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    return detour_score(g, g_disrupted, o, d, convention) <= xi
+    return detour_score(g, g_disrupted, o, d) <= xi
 
 
-def feasible_origins(
-    g: Graph,
-    g_disrupted: Graph,
-    destination: int,
-    xi: float,
-    convention: str = CONVENTION_INVERTED,
-) -> np.ndarray:
+def feasible_origins(g: Graph, g_disrupted: Graph, destination: int, xi: float) -> np.ndarray:
     """Boolean mask over all origins: which ones keep a feasible path to `destination`.
 
     Vectorized extension of `feasible` used by the feature pipeline, with
-    two conventions for the cases the pairwise operation rejects:
+    two rules for the cases the pairwise operation rejects:
     the destination itself is always feasible (no travel involved), and
     origins disconnected from the destination in the natural graph are
     infeasible.
     """
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown g convention {convention!r}")
     _check_node(g, destination, "destination")
     dist_nat = bfs_distance(g, destination)
     dist_dis = bfs_distance(g_disrupted, destination)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if convention == CONVENTION_INVERTED:
-            score = 1.0 - dist_nat / dist_dis
-        else:
-            score = 1.0 - dist_dis / dist_nat
+        score = 1.0 - dist_nat / dist_dis
     mask = score <= xi  # NaN (both distances infinite) compares False
     mask[~np.isfinite(dist_nat)] = False
     mask[destination] = True

@@ -8,13 +8,14 @@ turned into five per-day input realizations over the ROI stations:
   X2  exits from infeasible origins (X1 + X2 == X3 exactly),
   X3  total exits,
   X4  the across-day mean of X3, repeated on every row,
-  X5  the ROI-wide total broadcast to all stations (mean per station by
-      default; a `sum` mode is available).
+  X5  the ROI-wide total divided by |ROI|, broadcast to all stations.
 
-Under the disrupted adjacency every ROI station is isolated, so origins
-other than the station itself can never be feasible; journeys that both
-start and end at the station count as feasible, which keeps X1 nonzero
-wherever same-station traffic exists.
+Feasibility is the detour score 1 - dist_natural / dist_disrupted
+against the threshold xi. Under the disrupted adjacency every ROI station
+is isolated, so its score is 1 for every other connected origin: those
+origins are all infeasible when xi < 1 and all feasible when xi >= 1.
+Journeys that both start and end at the station count as feasible, which
+keeps X1 nonzero wherever same-station traffic exists.
 
 Training fits a mixture-of-embeddings model from the five input
 embeddings to the single observed disruption-day exit vector; prediction
@@ -33,6 +34,7 @@ cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -74,9 +76,6 @@ __all__ = [
 ]
 
 N_TUBE_INPUTS = 5
-
-X5_MEAN = "mean"
-X5_SUM = "sum"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +137,8 @@ class DayCounts:
 class InterferenceConfig:
     """Pipeline knobs.
 
-    xi, g_convention and x5_mode shape the five input variables X1..X5;
+    xi, the feasibility threshold on the detour score, splits X3 into X1
+    and X2 (see the module docstring for X1..X5);
     rescale_levels (R) and rescale_span (c) shape the sampling basis;
     kernel_family and rho give the one kernel of regression and basis fit;
     ridge regularises the training Gram; seed is `evaluate`'s default seed.
@@ -156,8 +156,6 @@ class InterferenceConfig:
     kernel_family: str = GAUSSIAN
     rho: float | None = None
     ridge: float | None = None
-    g_convention: str = "inverted"
-    x5_mode: str = X5_MEAN
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -165,18 +163,14 @@ class InterferenceConfig:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.rescale_levels < 2:
             raise ValueError(f"need rescale_levels >= 2, got {self.rescale_levels}")
-        if not self.rescale_span > 1:
-            raise ValueError(f"need rescale_span > 1, got {self.rescale_span}")
-        if self.x5_mode not in (X5_MEAN, X5_SUM):
-            raise ValueError(f"unknown x5_mode {self.x5_mode!r}")
-        if self.g_convention not in ("inverted", "paper"):
-            raise ValueError(f"unknown g_convention {self.g_convention!r}")
+        if not 1 < self.rescale_span < math.inf:
+            raise ValueError(f"need finite rescale_span > 1, got {self.rescale_span}")
         if self.kernel_family not in (GAUSSIAN, LAPLACE):
             raise ValueError(f"unknown kernel family {self.kernel_family!r}")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError(f"rho must be positive or None, got {self.rho}")
-        if self.ridge is not None and not self.ridge >= 0:
-            raise ValueError(f"ridge must be nonnegative or None, got {self.ridge}")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite or None, got {self.rho}")
+        if self.ridge is not None and not 0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be nonnegative and finite or None, got {self.ridge}")
 
     def kernel(self) -> KernelConfig:
         if self.rho is None:
@@ -317,12 +311,7 @@ def input_variable_samples(
     """
     days = _sorted_natural_days(natural_days, z)
     g_dis = disrupted_adjacency(g, z.roi)
-    masks = np.stack(
-        [
-            feasible_origins(g, g_dis, station, cfg.xi, cfg.g_convention)
-            for station in z.roi
-        ]
-    )
+    masks = np.stack([feasible_origins(g, g_dis, station, cfg.xi) for station in z.roi])
     m = len(z.roi)
     n = len(days)
     cell, origin, count = _window_scan(days, z)
@@ -332,10 +321,8 @@ def input_variable_samples(
     x2 = x3 - x1
     col_means = np.mean(x3, axis=0)
     x4 = np.tile(col_means, (n, 1))
-    roi_totals = np.sum(x3, axis=1)
-    if cfg.x5_mode == X5_MEAN:
-        roi_totals = roi_totals / m
-    x5 = np.tile(roi_totals[:, None], (1, m))
+    roi_means = np.sum(x3, axis=1) / m
+    x5 = np.tile(roi_means[:, None], (1, m))
     return (SampleSet(x1), SampleSet(x2), SampleSet(x3), SampleSet(x4), SampleSet(x5))
 
 

@@ -447,3 +447,146 @@ class TestModelFile:
         assert "disagrees with the stored model config on R;" in err
         for name in ("theta.csv", "samples.csv", "prediction.json"):
             assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def run_cli(argv: list, capsys) -> tuple[int, str]:
+    """main's exit code and stderr; argparse refuses a bad argument with SystemExit."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+DISRUPTIONS_HEADER = "day,t_start,t_end,roi\n"
+
+# file of the CLI dataset replaced -> its new text and what the error must say
+BAD_DATASET_FILES = {
+    "graph-self-edge": ("graph.csv", "u,v\n0,1\n3,3\n", "graph.csv line 3: self edge (3, 3)"),
+    "graph-not-an-integer": ("graph.csv", "u,v\n0,1.5\n", "graph.csv line 2: bad integer v='1.5'"),
+    "graph-duplicate-edge": ("graph.csv", "u,v\n0,1\n1,0\n", "graph.csv line 3: duplicate edge"),
+    "graph-no-header": ("graph.csv", "0,1\n1,2\n", "graph.csv: missing required columns"),
+    "graph-empty": ("graph.csv", "u,v\n", "graph.csv: empty edge list"),
+    "disruptions-bad-roi": (
+        "disruptions.csv", DISRUPTIONS_HEADER + "10,60,180,1;x\n", "disruptions.csv line 2: bad roi"
+    ),
+    "disruptions-empty-roi": (
+        "disruptions.csv", DISRUPTIONS_HEADER + "10,60,180,\n", "line 2: roi must be non-empty"
+    ),
+    "disruptions-window-reversed": (
+        "disruptions.csv", DISRUPTIONS_HEADER + "10,180,60,1\n", "line 2: t_start 180 exceeds"
+    ),
+    "disruptions-roi-out-of-range": (
+        "disruptions.csv", DISRUPTIONS_HEADER + "10,60,180,1;12\n", "roi station 12 out of range"
+    ),
+    "disruptions-day-not-an-integer": (
+        "disruptions.csv", DISRUPTIONS_HEADER + "ten,60,180,1\n", "line 2: bad integer day='ten'"
+    ),
+    "config-c-inf": ("config.txt", "xi = 0.25\nc = inf\n", "config.txt line 2: bad c value 'inf'"),
+    "config-rho-inf": ("config.txt", "kernel.rho = inf\n", "config.txt line 1: bad kernel.rho"),
+    "config-ridge-inf": ("config.txt", "ridge = inf\n", "config.txt line 1: bad ridge value"),
+    "config-g-convention-paper": (
+        "config.txt",
+        "xi = 0.25\ng_convention = paper\n",
+        "config.txt line 2: g_convention = paper: retired key, only g_convention = inverted"
+        " is accepted; xi = 1 builds the same features as paper",
+    ),
+    "config-x5-mode-sum": (
+        "config.txt", "x5_mode = sum\n", "config.txt line 1: x5_mode = sum: retired key"
+    ),
+    "config-not-key-value": ("config.txt", "xi 0.25\n", "config.txt line 1: expected `key = value`"),
+}
+
+# scenario.json fields replaced -> the key the error must name
+BAD_SCENARIO_FIELDS = {
+    "n_nodes-fraction": ({"n_nodes": 12.5}, "'n_nodes'"),
+    "days-fraction": ({"days": 4.5}, "'days'"),
+    "seed-fraction": ({"seed": 1.5}, "'seed'"),
+    "seed-bool": ({"seed": True}, "'seed'"),
+    "t_max-fraction": ({"t_max": 100.5}, "'t_max'"),
+    "er_p-string": ({"er_p": "x"}, "'er_p'"),
+    "rate_high-overflow": ({"rate_high": 1e400}, "'rate_high'"),  # json.dumps writes Infinity
+    "phi-null": ({"phi": None}, "'phi'"),
+    "topology-number": ({"topology": 3}, "'topology'"),
+    "unknown-key": ({"nodes": 12}, "unknown scenario keys: ['nodes']"),
+}
+
+
+class TestMalformedInput:
+    """Every malformed input file or argument exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATASET_FILES))
+    def test_dataset_file(self, dataset, tmp_path, capsys, case):
+        name, text, message = BAD_DATASET_FILES[case]
+        _, _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        (bad / name).write_text(text)
+        argv = ["evaluate", "--data", str(bad), "--out", str(tmp_path / "out"), "--folds", "2"]
+        rc, err = run_cli(argv + ["--n-samples", "20"], capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIO_FIELDS))
+    def test_scenario_file(self, tmp_path, capsys, case):
+        fields, message = BAD_SCENARIO_FIELDS[case]
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_JSON, **fields}))
+        out = tmp_path / "out"
+        rc, err = run_cli(["simulate", "--scenario", str(bad), "--out", str(out)], capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert message in err and not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", ""], ids=["list", "broken", "empty"])
+    def test_scenario_not_a_json_object(self, tmp_path, capsys, text):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(text)
+        rc, err = run_cli(["simulate", "--scenario", str(bad), "--out", str(tmp_path)], capsys)
+        assert rc == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("score", ["--top", "-1"], "cannot select top -1"),
+            ("evaluate", ["--top", "-1"], "cannot select top -1"),
+            ("evaluate", ["--n-samples", "0"], "--n-samples: must be at least 1, got 0"),
+            ("evaluate", ["--folds", "0"], "--folds: must be at least 1, got 0"),
+            ("evaluate", ["--folds", "two"], "--folds: invalid int value: 'two'"),
+        ],
+        ids=["score-top", "evaluate-top", "evaluate-n-samples", "evaluate-folds", "folds-text"],
+    )
+    def test_count_argument(self, dataset, tmp_path, capsys, command, extra, message):
+        _, _, data = dataset
+        out = tmp_path / ("scores.csv" if command == "score" else "out")
+        rc, err = run_cli([command, "--data", str(data), "--out", str(out)] + extra, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert message in err and not out.exists()
+
+    def test_predict_n_samples_zero(self, trained, tmp_path, capsys):
+        data, model = trained
+        argv = predict_args(data, model, tmp_path / "p")
+        argv[argv.index("--n-samples") + 1] = "0"
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "--n-samples: must be at least 1, got 0" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("g_convention", "paper", "xi = 1 builds the same features as paper"),
+            ("x5_mode", "sum", "only x5_mode = mean is accepted"),
+            ("I", 3, "only I = 5 is accepted"),
+        ],
+        ids=["g_convention-paper", "x5_mode-sum", "I-3"],
+    )
+    def test_model_retired_key(self, trained, tmp_path, capsys, key, value, message):
+        data, model = trained
+        raw = json.loads(model.read_text())
+        raw["config"][key] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(raw))
+        rc, err = run_cli(predict_args(data, bad, tmp_path / "p"), capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert f"model config {key!r}: {key} = {value}: retired key" in err and message in err
+        assert not (tmp_path / "p").exists()

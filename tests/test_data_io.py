@@ -264,7 +264,7 @@ GOLDEN_SCENARIOS = {
             phi=0.8, window_min=80, window_max=140, seed=42,
         ),
         {
-            "config.txt": "3b78cd149487a32eae0e43acf59a831066b4adb4489a04fc9db86b435142157d",
+            "config.txt": "1f12680421bdd7bf6e471f42cb4a6e3bfe33d4dee256a25eaa1cd9bcf7800864",
             "disruptions.csv": "4ad89f35201971b0b18a4a6a049b846a31a29cce848f9b8226a418db0b7068cc",
             "graph.csv": "2a3e72851aadd9aa5c28185179d6934f51c9d3b43612a07936efc9941b96433a",
             "ground_truth.csv": "6ad94e879830794ab11a600eeb028a889235d33c15ebcef3622b4fbe00901eb6",
@@ -282,7 +282,7 @@ GOLDEN_SCENARIOS = {
             n_disruptions=2, roi_links=2, phi=0.5, seed=3,
         ),
         {
-            "config.txt": "f4f0fe74d13e527332eac78a7492ef11368861df4f9f9bf516954a541773fd0f",
+            "config.txt": "93a3b6d8cce3a16989600e649a2c4e464e9f63ca291d3bd6ce216bdec36b406e",
             "disruptions.csv": "cc42858b938e1453ebc08737fe4688d235ebc4fc4bb5a558f8812dce0e21e661",
             "graph.csv": "35fedfa9d0c2dedcc8922c763ed6cd2a7518311eee73c5c865308109971b28ed",
             "ground_truth.csv": "bcec314ce35e981b8bc759b7f6c272353a2e87cb51aa367ef3726eaf36709bce",
@@ -299,7 +299,7 @@ GOLDEN_SCENARIOS = {
             n_disruptions=2, phi=1.0, seed=5,
         ),
         {
-            "config.txt": "ac822fed99f91f82e554def6592ef2fae266bbeca98a1e5324eb524d6d4a9b2c",
+            "config.txt": "54218b6f33e334181e8052b7cda2debb14f2bcc1921ed42e7fbc6d4daf1e6831",
             "disruptions.csv": "802c0543692223975a9a05c83761c8075013a8d14b13de005a4542b7ffa49486",
             "graph.csv": "8903cc457c199a7617b969c3dca05511f35c7ee01a2e602df637e728bf683ae0",
             "ground_truth.csv": "342ee9b978d4109d6cd2236b555e3669702439570f6ece127c077f6bf8e7ecad",
@@ -316,7 +316,7 @@ GOLDEN_SCENARIOS = {
             t_max=20, window_min=1, window_max=10, seed=9,
         ),
         {
-            "config.txt": "75e759b1f4764121a290c01499aee1cd7beb72cc04f798132c2e148ab142f5b3",
+            "config.txt": "16a6c059f858c38d2be162dbc4fa1c82109f244c85f730854be4336dc8476101",
             "disruptions.csv": "ca48e75ba84b5e2ab8c45f504e363ece2d56d89ec86b052b03280a971af85897",
             "graph.csv": "cdfa743ee5db69e54e610deccc27d2f6d5f6a237885e0ab3dabb31b2a22ce4b0",
             "ground_truth.csv": "052a2f2d331022d41e7bfd178f73066872500eb0f0a4989247bebf91e569d372",
@@ -440,12 +440,11 @@ CONFIGS = st.builds(
     kernel_family=st.sampled_from(["gaussian", "laplace"]),
     rho=st.none() | positive_floats(),
     ridge=st.none() | positive_floats(),
-    g_convention=st.sampled_from(["inverted", "paper"]),
-    x5_mode=st.sampled_from(["mean", "sum"]),
     seed=st.integers(min_value=0, max_value=2**63 - 1),
 )
 
-# config.txt as written before the `beta` and `I` knobs were removed
+# config.txt as written before the `beta`, `I`, `g_convention` and `x5_mode`
+# knobs were retired
 OLD_CONFIG_TXT = """\
 kernel.family = gaussian
 kernel.rho = 0.01
@@ -480,9 +479,10 @@ class TestConfigSchema:
         cfg = parse_config(old)
         new = tmp_path / "new.txt"
         write_config(new, cfg)
-        dropped = [ln for ln in OLD_CONFIG_TXT.splitlines() if ln.split(" = ")[0] not in ("beta", "I")]
+        retired = ("beta", "I", "g_convention", "x5_mode")
+        dropped = [ln for ln in OLD_CONFIG_TXT.splitlines() if ln.split(" = ")[0] not in retired]
         assert new.read_text() == "\n".join(dropped) + "\n"
-        assert len(dropped) == 9
+        assert len(dropped) == 7
         assert parse_config(new) == cfg == InterferenceConfig(
             xi=0.3, rescale_levels=4, rescale_span=1.25, rho=0.01, ridge=1e-7, seed=5
         )
@@ -492,15 +492,28 @@ class TestConfigSchema:
         with pytest.raises(ValueError, match="c.txt line 2: I = 3"):
             parse_config(p)
 
-    @pytest.mark.parametrize("line", ["R = 2.5", "xi = auto", "seed = auto"])
+    @pytest.mark.parametrize(
+        "line",
+        ["R = 2.5", "xi = auto", "seed = auto", "c = inf", "kernel.rho = inf", "ridge = inf"],
+    )
     def test_bad_value_names_key_and_line(self, tmp_path, line):
         p = write(tmp_path / "c.txt", f"# header\n{line}\n")
         key, value = line.split(" = ")
         with pytest.raises(ValueError, match=f"c.txt line 2: bad {key} value '{value}'"):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("g_convention", "paper"), ("x5_mode", "sum"), ("x5_mode", None), ("I", 3)],
+    )
+    def test_dict_retired_value_rejected(self, key, value):
+        raw = {**config_to_dict(InterferenceConfig()), key: value}
+        with pytest.raises(ValueError, match=f"model config {key!r}: {key} = {value}: retired key"):
+            config_from_dict(raw)
+
     def test_dict_ignores_unknown_keys(self):
-        raw = {**config_to_dict(InterferenceConfig(rho=0.5)), "beta": 1.0, "I": 5}
+        retired = {"beta": 1.0, "I": 5, "g_convention": "inverted", "x5_mode": "mean"}
+        raw = {**config_to_dict(InterferenceConfig(rho=0.5)), **retired}
         assert config_from_dict(raw) == InterferenceConfig(rho=0.5)
 
     @pytest.mark.parametrize(
@@ -513,7 +526,7 @@ class TestConfigSchema:
             ("R", 5.0),
             ("seed", False),
             ("kernel.family", 1),
-            ("x5_mode", None),
+            ("kernel.family", None),
             ("kernel.rho", "auto"),
             ("ridge", [1e-8]),
         ],

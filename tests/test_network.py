@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from distreg.network import (
-    CONVENTION_PAPER,
     Disruption,
     Graph,
     bfs_distance,
@@ -118,13 +117,6 @@ class TestDetourScore:
     def test_hand_worked_third(self):
         g_dis = disrupted_adjacency(TWO_ROUTES, [1])
         assert detour_score(TWO_ROUTES, g_dis, 0, 2) == pytest.approx(1.0 / 3.0)
-
-    def test_paper_convention_literal_formula(self):
-        g_dis = disrupted_adjacency(TWO_ROUTES, [1])
-        got = detour_score(TWO_ROUTES, g_dis, 0, 2, convention=CONVENTION_PAPER)
-        assert got == pytest.approx(1.0 - 3.0 / 2.0)
-        g_cut = disrupted_adjacency(PATH3, [1])
-        assert detour_score(PATH3, g_cut, 0, 2, convention=CONVENTION_PAPER) == -np.inf
 
     def test_same_node_rejected(self):
         with pytest.raises(ValueError, match="differ"):

@@ -177,13 +177,6 @@ class TestInputVariableSamples:
         expected = np.mean(x3.samples, axis=1, keepdims=True)
         assert np.allclose(x5.samples, np.tile(expected, (1, 2)))
 
-    def test_x5_sum_mode(self):
-        days = hand_days()
-        cfg = InterferenceConfig(x5_mode="sum")
-        _, _, x3, _, x5 = input_variable_samples(days, Z, G5, cfg)
-        expected = np.sum(x3.samples, axis=1, keepdims=True)
-        assert np.allclose(x5.samples, np.tile(expected, (1, 2)))
-
     def test_singleton_roi_x5_equals_x3(self):
         days = hand_days()
         z1 = Disruption(day=9, t_start=20, t_end=60, roi=(1,))
@@ -206,8 +199,9 @@ class TestInputVariableSamples:
             assert np.array_equal(2.0 * a.samples, b.samples)
 
 
-# 7 stations: a path 0-1-2-3, a triangle 4-5-6 hung on 3, so both conventions
-# give masks with feasible and infeasible origins
+# 7 stations: a path 0-1-2-3, a triangle 4-5-6 hung on 3. xi = 0.25 makes every
+# other origin of an ROI station infeasible and xi = 1 every connected one
+# feasible, so the two draw both mask shapes
 G7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
 
 
@@ -237,22 +231,22 @@ QUAD = st.tuples(
     raw_days=st.lists(st.lists(QUAD, max_size=12), min_size=1, max_size=4),
     roi=st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
     window=st.tuples(st.integers(0, 9), st.integers(0, 9)),
-    convention=st.sampled_from(["inverted", "paper"]),
+    xi=st.sampled_from([0.25, 1.0]),
 )
-@example(raw_days=[[], []], roi=[2], window=(0, 9), convention="inverted")  # empty days
+@example(raw_days=[[], []], roi=[2], window=(0, 9), xi=0.25)  # empty days
 @example(  # an ROI station with no exits; exits exactly at t_start and t_end
     raw_days=[[(0, 1, 3, 2), (5, 1, 6, 1), (1, 1, 2, 4), (4, 1, 7, 3)]],
-    roi=[1, 3], window=(3, 6), convention="paper",
+    roi=[1, 3], window=(3, 6), xi=1.0,
 )
 @example(  # ROI in unsorted order
     raw_days=[[(0, 5, 4, 1), (6, 2, 4, 2), (2, 2, 5, 1)], [(5, 5, 0, 3)]],
-    roi=[5, 0, 2], window=(0, 5), convention="paper",
+    roi=[5, 0, 2], window=(0, 5), xi=1.0,
 )
-def test_window_scan_matches_dict_walk(raw_days, roi, window, convention):
+def test_window_scan_matches_dict_walk(raw_days, roi, window, xi):
     z = Disruption(day=len(raw_days), t_start=min(window), t_end=max(window), roi=tuple(roi))
-    cfg = InterferenceConfig(g_convention=convention)
+    cfg = InterferenceConfig(xi=xi)
     g_dis = disrupted_adjacency(G7, z.roi)
-    masks = np.stack([feasible_origins(G7, g_dis, s, cfg.xi, convention) for s in z.roi])
+    masks = np.stack([feasible_origins(G7, g_dis, s, cfg.xi) for s in z.roi])
     ref = dict_walk(raw_days, z, masks)
 
     days = [day_counts(day, quads) for day, quads in enumerate(raw_days)]
