@@ -135,8 +135,11 @@ def _parse_disruption_spec(spec: str) -> Disruption:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = data_io.load_dataset(Path(args.data))
-    raw = json.loads(Path(args.model).read_text())
-    model, cfg = _model_from_json(raw)
+    model_path = Path(args.model)
+    try:
+        model, cfg = _model_from_json(json.loads(model_path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{model_path.name}: {exc}") from None
     if args.config is not None:
         differing = _ignored_disagreements(cfg, data_io.parse_config(args.config))
         if differing:
@@ -214,13 +217,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _int(text)
+    if not 0 <= value < pipeline.SEED_BOUND:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**128), got {value}")
     return value
 
 
@@ -234,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset with known ground truth")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("score", help="observable/severity scores and top-n selection")
@@ -259,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--disruption", required=True, help="spec `day,t_start,t_end,roi1;roi2;...`"
     )
     p.add_argument("--n-samples", type=_positive_int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="full k-fold scoring/training/prediction protocol")
@@ -267,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=None, help="protocol seed (defaults to config seed)")
+    p.add_argument(
+        "--seed", type=_seed, default=None, help="protocol seed (defaults to config seed)"
+    )
     p.add_argument("--top", type=int, default=20)
     p.add_argument("--n-samples", type=_positive_int, default=400)
     p.add_argument("--rho-mode", choices=["per-fold", "global"], default="per-fold")

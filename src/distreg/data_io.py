@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, aggregate_columns
+from .pipeline import N_TUBE_INPUTS, SEED_BOUND, DayCounts, InterferenceConfig, aggregate_columns
 
 __all__ = [
     "SyntheticScenario",
@@ -86,6 +86,8 @@ class SyntheticScenario:
                 ok, expected = ok and abs(value) <= sys.float_info.max, "a finite number"
             if not ok:
                 raise ValueError(f"scenario {f.name!r} must be {expected}, got {value!r}")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"scenario 'seed' must be in [0, 2**128), got {self.seed}")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; expected one of {_TOPOLOGIES}")
         if self.n_nodes < 2:
@@ -489,8 +491,8 @@ def load_scenario(path: Path | str) -> SyntheticScenario:
         raise ValueError(f"unknown scenario keys: {unknown}")
     try:
         return SyntheticScenario(**raw)
-    except TypeError as exc:
-        raise ValueError(f"bad scenario: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{Path(path).name}: bad scenario: {exc}") from None
 
 
 def load_dataset(data_dir: Path | str) -> DatasetBundle:

@@ -6,10 +6,12 @@ reduces to a Gram computation over the stored samples, so all algebra is
 exact up to floating point.
 
 Reductions avoid BLAS on purpose: distances accumulate over feature axes
-in a fixed order, and inner products reduce over fixed row blocks with
-numpy's pairwise summation (within each row, then across weighted row
-sums), so the summation tree depends only on the shapes and repeated
-runs give bit-identical results regardless of thread settings.
+in a fixed order, and an inner product sums each row of the weighted
+Gram pairwise over all of its columns, then sums the weighted row sums
+pairwise again. The rows are computed a cache-sized block at a time, but
+the block height affects no bit: the summation tree depends only on the
+shapes, and repeated runs give bit-identical results regardless of
+thread settings.
 """
 
 from __future__ import annotations
@@ -134,30 +136,48 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-def _dists(X: np.ndarray, Y: np.ndarray, family: str) -> np.ndarray:
-    # accumulate one feature axis at a time; fixed order, no BLAS
-    if family == GAUSSIAN:
-        out = X[:, 0, None] - Y[None, :, 0]
-        np.square(out, out=out)
-        for d in range(1, X.shape[1]):
-            diff = X[:, d, None] - Y[None, :, d]
-            np.square(diff, out=diff)
-            out += diff
-    else:
-        out = np.abs(X[:, 0, None] - Y[None, :, 0])
-        for d in range(1, X.shape[1]):
-            out += np.abs(X[:, d, None] - Y[None, :, d])
+def _dists(
+    X: np.ndarray,
+    Y: np.ndarray,
+    family: str,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    """(len(X), len(Y)) matrix of squared Euclidean (gaussian) or l1 distances.
+
+    Accumulates one feature axis at a time; fixed order, no BLAS. Writes
+    into `out`, and uses `tmp` for each further axis, when they are given.
+    """
+    if out is None:
+        out = np.empty((X.shape[0], Y.shape[0]))
+    if tmp is None and X.shape[1] > 1:
+        tmp = np.empty_like(out)
+    fold = np.square if family == GAUSSIAN else np.abs
+    np.subtract(X[:, 0, None], Y[None, :, 0], out=out)
+    fold(out, out=out)
+    for d in range(1, X.shape[1]):
+        np.subtract(X[:, d, None], Y[None, :, d], out=tmp)
+        fold(tmp, out=tmp)
+        out += tmp
     return out
 
 
-def _kernel_matrix(k: KernelConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    out = _dists(X, Y, k.family)
+def _kernel_matrix(
+    k: KernelConfig,
+    X: np.ndarray,
+    Y: np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    out = _dists(X, Y, k.family, out, tmp)
     np.multiply(out, -k.rho, out=out)
     np.exp(out, out=out)
     return out
 
 
-_BLOCK_ROWS = 256
+# elements per row block of the inner-product reduction: 512 KiB of float64,
+# so the block and its per-axis scratch stay in a core's L2 cache
+_BLOCK_ELEMS = 1 << 16
 
 
 def _weighted_kernel_sum(
@@ -165,17 +185,28 @@ def _weighted_kernel_sum(
 ) -> float:
     """sum_ij wa_i wb_j k(X_i, Y_j) without materializing the full Gram.
 
-    Rows are processed in fixed blocks; each row reduces by numpy's
-    pairwise summation and the weighted row sums reduce pairwise again,
-    so the summation tree is a fixed function of the shapes alone.
+    Each row of the weighted Gram is summed by numpy's pairwise summation
+    over all of its columns, and the weighted row sums reduce pairwise
+    again, so the summation tree is a fixed function of the shapes alone.
+    Rows are computed in blocks of about `_BLOCK_ELEMS` elements, in one
+    block buffer (and one per-axis scratch buffer) reused by every block;
+    the block height changes no bit of the result.
     """
-    n = X.shape[0]
+    n, m = X.shape[0], Y.shape[0]
+    rows = max(1, _BLOCK_ELEMS // m)
+    if rows >= n:
+        block = _kernel_matrix(k, X, Y)
+        np.multiply(block, wb, out=block)
+        return float(np.sum(wa * np.sum(block, axis=1)))
+    buf = np.empty((rows, m))
+    tmp = np.empty_like(buf) if X.shape[1] > 1 else None
     row_sums = np.empty(n)
-    for i0 in range(0, n, _BLOCK_ROWS):
-        i1 = min(i0 + _BLOCK_ROWS, n)
-        block = _kernel_matrix(k, X[i0:i1], Y)
-        np.multiply(block, wb[None, :], out=block)
-        row_sums[i0:i1] = np.sum(block, axis=1)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        h = i1 - i0
+        block = _kernel_matrix(k, X[i0:i1], Y, buf[:h], None if tmp is None else tmp[:h])
+        np.multiply(block, wb, out=block)
+        np.sum(block, axis=1, out=row_sums[i0:i1])
     return float(np.sum(wa * row_sums))
 
 

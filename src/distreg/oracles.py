@@ -13,7 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_qp
-from .kernels import GAUSSIAN, LAPLACE, KernelConfig, SampleSet, embed, eval_kernel, inner, mmd2
+from . import kernels
+from .kernels import (
+    GAUSSIAN,
+    LAPLACE,
+    KernelConfig,
+    SampleSet,
+    embed,
+    eval_kernel,
+    gram,
+    inner,
+    mmd2,
+)
 from .network import Graph, bfs_distance, disrupted_adjacency
 
 __all__ = ["OracleCase", "run_suite", "SUITES"]
@@ -66,6 +77,23 @@ def _gram_suite() -> list[OracleCase]:
                     detail=f"fast={m_fast:.15f} slow={m_slow:.15f}",
                 )
             )
+    # more columns than one row block holds, so every block is a single row; a
+    # double sum is too slow at this size, so the full Gram is the reference
+    rng = np.random.default_rng(20240603)
+    m = kernels._BLOCK_ELEMS + 1000
+    for family in (GAUSSIAN, LAPLACE):
+        k = KernelConfig(family=family, rho=0.7)
+        a = embed(k, SampleSet(rng.normal(size=(3, 2))))
+        b = embed(k, SampleSet(rng.normal(size=(m, 2))))
+        fast = inner(a, b)
+        full = float(a.weights @ gram(k, a.sample_set, b.sample_set) @ b.weights)
+        cases.append(
+            OracleCase(
+                name=f"gram/wide-{family}-m{m}",
+                passed=abs(fast - full) <= 1e-12,
+                detail=f"fast={fast:.15f} full={full:.15f}",
+            )
+        )
     return cases
 
 

@@ -133,6 +133,11 @@ class DayCounts:
         return int(self.count.sum())
 
 
+# every seed keys a Philox generator (directly or through a SeedSequence), and
+# a Philox key has 128 bits
+SEED_BOUND = 2**128
+
+
 @dataclass(frozen=True)
 class InterferenceConfig:
     """Pipeline knobs.
@@ -171,6 +176,10 @@ class InterferenceConfig:
             raise ValueError(f"rho must be positive and finite or None, got {self.rho}")
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be nonnegative and finite or None, got {self.ridge}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
     def kernel(self) -> KernelConfig:
         if self.rho is None:

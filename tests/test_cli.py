@@ -496,6 +496,12 @@ BAD_DATASET_FILES = {
         "config.txt", "x5_mode = sum\n", "config.txt line 1: x5_mode = sum: retired key"
     ),
     "config-not-key-value": ("config.txt", "xi 0.25\n", "config.txt line 1: expected `key = value`"),
+    "config-seed-negative": (
+        "config.txt", "seed = -1\n", "config.txt line 1: bad seed value '-1': seed must be in"
+    ),
+    "config-seed-too-big": (
+        "config.txt", f"seed = {2**128}\n", "config.txt line 1: bad seed value '340282366920"
+    ),
 }
 
 # scenario.json fields replaced -> the key the error must name
@@ -504,6 +510,8 @@ BAD_SCENARIO_FIELDS = {
     "days-fraction": ({"days": 4.5}, "'days'"),
     "seed-fraction": ({"seed": 1.5}, "'seed'"),
     "seed-bool": ({"seed": True}, "'seed'"),
+    "seed-negative": ({"seed": -1}, "scenario.json: bad scenario: scenario 'seed' must be in"),
+    "seed-too-big": ({"seed": 2**128}, "scenario 'seed' must be in [0, 2**128)"),
     "t_max-fraction": ({"t_max": 100.5}, "'t_max'"),
     "er_p-string": ({"er_p": "x"}, "'er_p'"),
     "rate_high-overflow": ({"rate_high": 1e400}, "'rate_high'"),  # json.dumps writes Infinity
@@ -590,3 +598,43 @@ class TestMalformedInput:
         assert rc == 2 and "Traceback" not in err
         assert f"model config {key!r}: {key} = {value}: retired key" in err and message in err
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "value", [-1, 2**128, 1.5, "3"], ids=["negative", "too-big", "fraction", "string"]
+    )
+    def test_model_seed(self, trained, tmp_path, capsys, value):
+        data, model = trained
+        raw = json.loads(model.read_text())
+        raw["config"]["seed"] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(raw))
+        rc, err = run_cli(predict_args(data, bad, tmp_path / "p"), capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert "model.json: model config 'seed'" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1", "must be in [0, 2**128), got -1"),
+            (str(2**128), f"must be in [0, 2**128), got {2**128}"),
+            ("x", "invalid int value: 'x'"),
+        ],
+        ids=["negative", "too-big", "text"],
+    )
+    def test_seed_option(self, trained, tmp_path, capsys, command, value, message):
+        data, model = trained
+        out = tmp_path / "out"
+        if command == "simulate":
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(SCENARIO_JSON))
+            argv = ["simulate", "--scenario", str(scenario), "--out", str(out), "--seed", value]
+        elif command == "predict":
+            argv = predict_args(data, model, out)
+            argv[argv.index("--seed") + 1] = value
+        else:
+            argv = ["evaluate", "--data", str(data), "--out", str(out), "--seed", value]
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert f"argument --seed: {message}" in err and not out.exists()

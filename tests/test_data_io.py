@@ -167,6 +167,29 @@ class TestScenario:
         with pytest.raises(ValueError, match="phi"):
             SyntheticScenario(topology="path", n_nodes=5, days=3, n_disruptions=1, phi=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=r"scenario 'seed' must be in \[0, 2\*\*128\)"):
+            SyntheticScenario(
+                topology="path", n_nodes=5, days=3, n_disruptions=1, phi=0.5, seed=seed
+            )
+
+    def test_seed_bounds_accepted(self):
+        for seed in (0, 2**128 - 1):
+            s = SyntheticScenario(
+                topology="path", n_nodes=5, days=3, n_disruptions=1, phi=0.5, seed=seed
+            )
+            assert s.seed == seed
+
+    def test_load_error_names_file(self, tmp_path):
+        p = write(
+            tmp_path / "s.json",
+            '{"topology": "path", "n_nodes": 5, "days": 3, "n_disruptions": 1, "phi": 0.5,'
+            ' "seed": -1}',
+        )
+        with pytest.raises(ValueError, match="s.json: bad scenario: scenario 'seed'"):
+            load_scenario(p)
+
 
 SCENARIO = SyntheticScenario(
     topology="grid",
@@ -535,6 +558,12 @@ class TestConfigSchema:
         raw = {**config_to_dict(InterferenceConfig()), key: value}
         with pytest.raises(ValueError, match=f"model config {key!r} must be"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, "0"])
+    def test_seed_checked(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            InterferenceConfig(seed=seed)
+        assert InterferenceConfig(seed=2**128 - 1).seed == 2**128 - 1
 
     def test_dict_missing_key_rejected(self):
         raw = config_to_dict(InterferenceConfig())

@@ -25,6 +25,7 @@ from distreg import (
 )
 from distreg import InterferenceConfig, kernels
 from distreg.kernels import (
+    Embedding,
     _dists,
     median_pairwise_distance,
     pairwise_distances,
@@ -179,6 +180,32 @@ class TestInner:
         a = embed(K_G, gaussian_set(rng, 0.0, 5, 2))
         b = embed(K_G, gaussian_set(rng, 2.0, 4, 2))
         assert inner(a, b) == pytest.approx(double_sum_inner(K_G, a, b), abs=1e-13)
+
+
+# (n, m) with the default 2**16-element block: m above the budget (one row per
+# block), n not a multiple of the block height, m < 8 over several blocks, and
+# calls that one block covers
+BLOCK_SHAPES = [(3, 70_000), (500, 300), (14_000, 5), (10, 3), (7, 9)]
+
+
+class TestInnerBitIdentity:
+    """inner() sums each weighted Gram row pairwise over all of its columns, then
+    the weighted row sums, whatever the height of the row blocks it computes."""
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", BLOCK_SHAPES)
+    def test_equals_full_gram_reduction(self, monkeypatch, family, dim, n, m):
+        rng = np.random.default_rng([n, m, dim])
+        k = KernelConfig(family, 0.3)
+        X, Y = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+        a = Embedding(k, SampleSet(X), rng.normal(size=n))
+        b = Embedding(k, SampleSet(Y), rng.normal(size=m))
+        want = float(np.sum(a.weights * np.sum(gram(k, X, Y) * b.weights, axis=1)))
+        assert inner(a, b) == want
+        for elems in (1, 7, 1000, 2**20):
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
+            assert inner(a, b) == want
 
 
 class TestEmbeddingGram:
