@@ -233,8 +233,8 @@ def _positive_int(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = _int(text)
-    if not 0 <= value < pipeline.SEED_BOUND:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**128), got {value}")
+    if (error := pipeline.seed_error(value)) is not None:
+        raise argparse.ArgumentTypeError(error)
     return value
 
 

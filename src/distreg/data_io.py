@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import N_TUBE_INPUTS, SEED_BOUND, DayCounts, InterferenceConfig, aggregate_columns
+from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, aggregate_columns, seed_error
 
 __all__ = [
     "SyntheticScenario",
@@ -86,8 +86,8 @@ class SyntheticScenario:
                 ok, expected = ok and abs(value) <= sys.float_info.max, "a finite number"
             if not ok:
                 raise ValueError(f"scenario {f.name!r} must be {expected}, got {value!r}")
-        if not 0 <= self.seed < SEED_BOUND:
-            raise ValueError(f"scenario 'seed' must be in [0, 2**128), got {self.seed}")
+        if (error := seed_error(self.seed)) is not None:
+            raise ValueError(f"scenario 'seed' {error}")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; expected one of {_TOPOLOGIES}")
         if self.n_nodes < 2:

@@ -193,11 +193,7 @@ def _weighted_kernel_sum(
     the block height changes no bit of the result.
     """
     n, m = X.shape[0], Y.shape[0]
-    rows = max(1, _BLOCK_ELEMS // m)
-    if rows >= n:
-        block = _kernel_matrix(k, X, Y)
-        np.multiply(block, wb, out=block)
-        return float(np.sum(wa * np.sum(block, axis=1)))
+    rows = min(n, max(1, _BLOCK_ELEMS // m))
     buf = np.empty((rows, m))
     tmp = np.empty_like(buf) if X.shape[1] > 1 else None
     row_sums = np.empty(n)

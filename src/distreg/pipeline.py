@@ -133,9 +133,21 @@ class DayCounts:
         return int(self.count.sum())
 
 
-# every seed keys a Philox generator (directly or through a SeedSequence), and
-# a Philox key has 128 bits
-SEED_BOUND = 2**128
+# the fold split (`kfold`) and the mixture draws (`sample_from_mixture`) key a
+# Philox generator with the seed, and a Philox key has 128 bits; scenario seeds
+# (which seed PCG64 through a SeedSequence) share the range so that one rule
+# holds for every seed
+SEED_BITS = 128
+SEED_BOUND = 2**SEED_BITS
+
+
+def seed_error(value) -> str | None:
+    """Why `value` is not a seed (an int in [0, SEED_BOUND)), or None if it is one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"must be an integer, got {value!r}"
+    if not 0 <= value < SEED_BOUND:
+        return f"must be in [0, 2**{SEED_BITS}), got {value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -176,10 +188,8 @@ class InterferenceConfig:
             raise ValueError(f"rho must be positive and finite or None, got {self.rho}")
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be nonnegative and finite or None, got {self.ridge}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < SEED_BOUND:
-            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+        if (error := seed_error(self.seed)) is not None:
+            raise ValueError(f"seed {error}")
 
     def kernel(self) -> KernelConfig:
         if self.rho is None:
