@@ -9,7 +9,6 @@ command writes into its input directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -156,11 +155,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "theta.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "theta"])
-        for label, t in zip(mixture.basis.labels, mixture.theta):
-            writer.writerow([label, repr(float(t))])
+    data_io.write_csv(
+        out / "theta.csv",
+        ["component", "theta"],
+        ([label, data_io.fmt_float(t)] for label, t in zip(mixture.basis.labels, mixture.theta)),
+    )
     summary = {
         "fit_residual": mixture.fit_residual,
         "theta_sum": float(np.sum(mixture.theta)),
@@ -169,11 +168,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         "roi": list(z_new.roi),
     }
     (out / "prediction.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    with open(out / "samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"station{r}" for r in z_new.roi])
-        for row in samples.samples:
-            writer.writerow([repr(float(v)) for v in row])
+    data_io.write_csv(
+        out / "samples.csv",
+        [f"station{r}" for r in z_new.roi],
+        ([data_io.fmt_float(v) for v in row] for row in samples.samples),
+    )
     print(f"predicted disruption {args.disruption!r}; wrote {out}")
     return 0
 

@@ -20,9 +20,10 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "SyntheticDataset",
     "GroundTruthRecord",
     "generate_synthetic",
+    "fmt_float",
+    "write_csv",
     "write_dataset",
     "load_scenario",
     "load_journeys",
@@ -272,6 +275,21 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
 # writers
 
 
+def fmt_float(x) -> str:
+    """A float as text in every file distreg writes: the shortest repr that reads back exactly."""
+    return repr(float(x))
+
+
+def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header`, then `rows`, as CSV lines ending in "\n": the one dialect of
+    every CSV file distreg writes. Cells go out as given, so callers format
+    floats with `fmt_float`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: InterferenceConfig | None = None) -> None:
     """Write the dataset's CSV files (and config.txt if given) into out_dir.
 
@@ -289,26 +307,19 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
             f"{out}); load_dataset would read it, so remove it or write to another directory"
         )
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "graph.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "v"])
-        for u, v in ds.graph.edges():
-            writer.writerow([u, v])
+    write_csv(out / "graph.csv", ["u", "v"], ds.graph.edges())
     for day in sorted(ds.journeys):
-        with open(out / f"journeys_day{day}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_JOURNEY_FIELDS)
-            writer.writerows(ds.journeys[day].tolist())
-    with open(out / "disruptions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["day", "t_start", "t_end", "roi"])
-        for z in ds.disruptions:
-            writer.writerow([z.day, z.t_start, z.t_end, ";".join(str(r) for r in z.roi)])
-    with open(out / "ground_truth.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["disruption_id", "phi", "scale"])
-        for r in ds.ground_truth:
-            writer.writerow([r.disruption_id, repr(float(r.phi)), repr(float(r.scale))])
+        write_csv(out / f"journeys_day{day}.csv", _JOURNEY_FIELDS, ds.journeys[day].tolist())
+    write_csv(
+        out / "disruptions.csv",
+        ["day", "t_start", "t_end", "roi"],
+        ([z.day, z.t_start, z.t_end, ";".join(str(r) for r in z.roi)] for z in ds.disruptions),
+    )
+    write_csv(
+        out / "ground_truth.csv",
+        ["disruption_id", "phi", "scale"],
+        ([r.disruption_id, fmt_float(r.phi), fmt_float(r.scale)] for r in ds.ground_truth),
+    )
     if config is not None:
         write_config(out / "config.txt", config)
 
@@ -317,27 +328,44 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
 # loaders
 
 
-def _read_rows(path: Path | str, required: Sequence[str]) -> tuple[list[dict], list[str]]:
-    path = Path(path)
+@contextmanager
+def _open_csv(path: Path, required: Sequence[str]) -> Iterator[tuple[list[str], Iterator]]:
+    """Open a CSV file and yield its header, checked to name every required
+    column, and a csv.reader over the remaining lines (`line_num` is current)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise ValueError(f"{path.name}: missing required columns {missing} (header {header})")
-        rows = []
-        for row in reader:
-            row["_line"] = reader.line_num
-            rows.append(row)
-    return rows, header
+        yield header, reader
 
 
-def _int_field(row: dict, key: str, path_name: str) -> int:
+def _read_rows(path: Path, required: Sequence[str]) -> list[tuple[str, dict[str, str]]]:
+    """Every non-blank row as (where, {column: text}), where names the file and line."""
+    with _open_csv(path, required) as (header, reader):
+        return [
+            (f"{path.name} line {reader.line_num}", dict(zip(header, row))) for row in reader if row
+        ]
+
+
+def _int_field(row: dict[str, str], key: str, where: str) -> int:
     raw = (row.get(key) or "").strip()
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{path_name} line {row['_line']}: bad integer {key}={raw!r}") from None
+        raise ValueError(f"{where}: bad integer {key}={raw!r}") from None
+
+
+def _float_field(row: dict[str, str], key: str, where: str) -> float:
+    raw = (row.get(key) or "").strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # refused below, with the text as read
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: bad number {key}={raw!r}")
+    return value
 
 
 def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:
@@ -349,12 +377,7 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
     line; station ids must also be below `n_nodes` when it is given.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _JOURNEY_FIELDS if c not in header]
-        if missing:
-            raise ValueError(f"{path.name}: missing required columns {missing} (header {header})")
+    with _open_csv(path, _JOURNEY_FIELDS) as (header, reader):
         has_day = "day" in header
         if not has_day:
             matches = re.findall(r"(\d+)", path.stem)
@@ -371,8 +394,9 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
                 continue
             try:
                 values = [int(row[i]) for i in idx]
-            except (ValueError, IndexError):
-                raise _bad_field(row, names, idx, f"{path.name} line {reader.line_num}") from None
+            except (ValueError, IndexError):  # name the first bad field (a short row's are blank)
+                where, by_name = f"{path.name} line {reader.line_num}", dict(zip(header, row))
+                values = [_int_field(by_name, name, where) for name in names]
             o, d, te, tx = values[-4:]
             if o < 0 or d < 0 or te < 0 or tx < te or o >= limit or d >= limit:
                 raise _bad_journey(o, d, te, tx, n_nodes, f"{path.name} line {reader.line_num}")
@@ -383,17 +407,6 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
         return {day_from_name: cols} if len(cols) else {}
     day_col = table[:, 0]
     return {day: cols[day_col == day] for day in dict.fromkeys(day_col.tolist())}
-
-
-def _bad_field(row: list[str], names: Sequence[str], idx: Sequence[int], where: str) -> ValueError:
-    """The error for a row's first field that is not an integer (a short row's are blank)."""
-    for name, i in zip(names, idx):
-        raw = row[i].strip() if i < len(row) else ""
-        try:
-            int(raw)
-        except ValueError:
-            return ValueError(f"{where}: bad integer {name}={raw!r}")
-    return ValueError(f"{where}: unreadable row {row!r}")
 
 
 def _bad_journey(o: int, d: int, te: int, tx: int, n_nodes: int | None, where: str) -> ValueError:
@@ -419,46 +432,37 @@ def load_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[
 
 
 def load_disruptions(path: Path | str) -> list[Disruption]:
-    path = Path(path)
-    rows, _ = _read_rows(path, ["day", "t_start", "t_end", "roi"])
     out = []
-    for row in rows:
+    for where, row in _read_rows(Path(path), ["day", "t_start", "t_end", "roi"]):
         roi_raw = (row.get("roi") or "").strip()
         try:
             roi = tuple(int(tok) for tok in roi_raw.split(";") if tok != "")
         except ValueError:
-            raise ValueError(f"{path.name} line {row['_line']}: bad roi list {roi_raw!r}") from None
+            raise ValueError(f"{where}: bad roi list {roi_raw!r}") from None
+        day, t_start, t_end = (_int_field(row, key, where) for key in ("day", "t_start", "t_end"))
         try:
-            out.append(
-                Disruption(
-                    day=_int_field(row, "day", path.name),
-                    t_start=_int_field(row, "t_start", path.name),
-                    t_end=_int_field(row, "t_end", path.name),
-                    roi=roi,
-                )
-            )
+            out.append(Disruption(day=day, t_start=t_start, t_end=t_end, roi=roi))
         except ValueError as exc:
-            raise ValueError(f"{path.name} line {row['_line']}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return out
 
 
 def load_graph(path: Path | str) -> Graph:
     """Edge-list CSV (`u,v` header). Node count is max id + 1; self/duplicate edges rejected."""
     path = Path(path)
-    rows, _ = _read_rows(path, ["u", "v"])
     edges = []
     seen = set()
     max_id = -1
-    for row in rows:
-        u = _int_field(row, "u", path.name)
-        v = _int_field(row, "v", path.name)
+    for where, row in _read_rows(path, ["u", "v"]):
+        u = _int_field(row, "u", where)
+        v = _int_field(row, "v", where)
         if u < 0 or v < 0:
-            raise ValueError(f"{path.name} line {row['_line']}: negative node id")
+            raise ValueError(f"{where}: negative node id")
         if u == v:
-            raise ValueError(f"{path.name} line {row['_line']}: self edge ({u}, {v})")
+            raise ValueError(f"{where}: self edge ({u}, {v})")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise ValueError(f"{path.name} line {row['_line']}: duplicate edge ({u}, {v})")
+            raise ValueError(f"{where}: duplicate edge ({u}, {v})")
         seen.add(key)
         edges.append((u, v))
         max_id = max(max_id, u, v)
@@ -468,15 +472,14 @@ def load_graph(path: Path | str) -> Graph:
 
 
 def load_ground_truth(path: Path | str) -> list[GroundTruthRecord]:
-    path = Path(path)
-    rows, _ = _read_rows(path, ["disruption_id", "phi", "scale"])
+    """Ground-truth CSV; phi and scale must be finite numbers."""
     return [
         GroundTruthRecord(
-            disruption_id=_int_field(row, "disruption_id", path.name),
-            phi=float(row["phi"]),
-            scale=float(row["scale"]),
+            disruption_id=_int_field(row, "disruption_id", where),
+            phi=_float_field(row, "phi", where),
+            scale=_float_field(row, "scale", where),
         )
-        for row in rows
+        for where, row in _read_rows(Path(path), ["disruption_id", "phi", "scale"])
     ]
 
 

@@ -10,15 +10,15 @@ by the fold that excluded it from training.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data_io import fmt_float, write_csv
 from .kernels import SampleSet, _as_matrix
 from .network import Disruption, Graph
 from .pipeline import (
@@ -30,7 +30,6 @@ from .pipeline import (
     natural_roi_totals,
     predict,
     resolve_rho,
-    roi_exit_vector,
     train,
 )
 from .sampler import sample_from_mixture
@@ -63,6 +62,8 @@ class ScoreRecord:
     observable: float
     severity: float
     selected: bool
+    # the disruption day's ROI exit vector the severity was scored on
+    observation: PerturbedObservation = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,12 @@ def observable_score(x1_rows, x2_rows) -> float:
     return num / den
 
 
-def severity_score(day_counts: DayCounts, natural_mean, z: Disruption) -> float:
+def severity_score(observed, natural_mean) -> float:
     """Relative squared deviation of disruption-day ROI totals from their natural means."""
     mean = np.asarray(natural_mean, dtype=np.float64).reshape(-1)
-    if mean.shape[0] != len(z.roi):
-        raise ValueError(f"natural mean length {mean.shape[0]} != |ROI| {len(z.roi)}")
-    observed = roi_exit_vector(day_counts, z).astype(np.float64)
+    observed = np.asarray(observed, dtype=np.float64).reshape(-1)
+    if mean.shape[0] != observed.shape[0]:
+        raise ValueError(f"natural mean length {mean.shape[0]} != |ROI| {observed.shape[0]}")
     den = float(np.sum(mean**2))
     if den <= 0.0:
         raise ValueError("severity undefined: natural means are all zero")
@@ -241,22 +242,25 @@ def score_disruptions(
     disruption-day data) are reported on stderr and dropped.
     """
     natural_days = natural_pool(days, disruptions)
-    scored: list[tuple[int, float, float]] = []
+    scored: list[tuple[int, float, float, PerturbedObservation]] = []
     for k, z in enumerate(disruptions):
         try:
             if z.day not in days:
                 raise ValueError(f"no journey data for disruption day {z.day}")
             x1, x2, x3, _, _ = input_variable_samples(natural_days, z, g, cfg)
             obs_score = observable_score(x1.samples, x2.samples)
-            sev = severity_score(days[z.day], np.mean(x3.samples, axis=0), z)
+            obs = PerturbedObservation.from_day_counts(days[z.day], z)
+            sev = severity_score(obs.exit_vector, np.mean(x3.samples, axis=0))
         except ValueError as exc:
             print(f"score: skipping disruption {k}: {exc}", file=sys.stderr)
             continue
-        scored.append((k, obs_score, sev))
-    selected = select_top([(k, s) for k, s, _ in scored], min(top_n, len(scored)))
+        scored.append((k, obs_score, sev, obs))
+    selected = select_top([(k, s) for k, s, _, _ in scored], min(top_n, len(scored)))
     return [
-        ScoreRecord(disruption_id=k, observable=s, severity=sev, selected=k in selected)
-        for k, s, sev in scored
+        ScoreRecord(
+            disruption_id=k, observable=s, severity=sev, selected=k in selected, observation=obs
+        )
+        for k, s, sev, obs in scored
     ]
 
 
@@ -284,11 +288,8 @@ def run_evaluation(
         raise ValueError(f"unknown rho_mode {rho_mode!r}")
     natural_days = natural_pool(days, disruptions)
     scores = score_disruptions(days, disruptions, g, cfg, top_n)
-    selected_ids = sorted(r.disruption_id for r in scores if r.selected)
-    observations = {
-        k: PerturbedObservation.from_day_counts(days[disruptions[k].day], disruptions[k])
-        for k in selected_ids
-    }
+    observations = {r.disruption_id: r.observation for r in scores if r.selected}
+    selected_ids = sorted(observations)
     folds = kfold(selected_ids, n_folds, seed)
 
     cfg_global = cfg
@@ -324,13 +325,12 @@ def run_evaluation(
                 random_samples = random_model(
                     mixture.basis, _derived_seed(seed, fold_id, k, 1), n_samples
                 )
+                h_model, h_base = silverman_h(model_samples), silverman_h(baseline_samples)
                 rec = EvalRecord(
                     disruption_id=k,
                     fold=fold_id,
-                    model_nll=nll(model_samples, obs_vec, silverman_h(model_samples)).value,
-                    baseline_nll=nll(
-                        baseline_samples, obs_vec, silverman_h(baseline_samples)
-                    ).value,
+                    model_nll=nll(model_samples, obs_vec, h_model).value,
+                    baseline_nll=nll(baseline_samples, obs_vec, h_base).value,
                     random_nll=nll(random_samples, obs_vec, silverman_h(random_samples)).value,
                     model_se=squared_error(model_samples, obs_vec),
                     baseline_se=squared_error(baseline_samples, obs_vec),
@@ -348,8 +348,8 @@ def run_evaluation(
                     1.0,
                 )
                 y = np.linspace(0.0, grid_hi, 201)
-                p_model = _marginal_density(model_samples, j, y)
-                p_base = _marginal_density(baseline_samples, j, y)
+                p_model = _marginal_density(model_samples.samples[:, j], h_model[j], y)
+                p_base = _marginal_density(baseline_samples.samples[:, j], h_base[j], y)
                 density_grids.append((k, station, y, p_model, p_base))
     records.sort(key=lambda r: r.disruption_id)
 
@@ -363,9 +363,8 @@ def run_evaluation(
     return scores, records
 
 
-def _marginal_density(samples: SampleSet, coord: int, y_grid: np.ndarray) -> np.ndarray:
-    h = silverman_h(samples)[coord]
-    col = samples.samples[:, coord]
+def _marginal_density(col: np.ndarray, h: float, y_grid: np.ndarray) -> np.ndarray:
+    """KDE of one sample coordinate with precision h, on a grid."""
     # one (grid, samples) buffer, updated in place: -h * (y - s)^2, then exp(a - max)
     a = y_grid[:, None] - col[None, :]
     np.square(a, out=a)
@@ -381,51 +380,24 @@ def _marginal_density(samples: SampleSet, coord: int, y_grid: np.ndarray) -> np.
     return np.array([math.exp(mi) * si * scale / n for mi, si in zip(m.tolist(), sums.tolist())])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_scores_csv(path: Path, scores: Sequence[ScoreRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "observable", "severity", "selected"])
-        for r in sorted(scores, key=lambda r: r.disruption_id):
-            writer.writerow([r.disruption_id, _fmt(r.observable), _fmt(r.severity), int(r.selected)])
+    rows = (
+        [r.disruption_id, fmt_float(r.observable), fmt_float(r.severity), int(r.selected)]
+        for r in sorted(scores, key=lambda r: r.disruption_id)
+    )
+    write_csv(path, ["id", "observable", "severity", "selected"], rows)
+
+
+_METRICS = ("model_nll", "baseline_nll", "random_nll", "model_se", "baseline_se", "random_se")
 
 
 def write_metrics_csv(path: Path, records: Sequence[EvalRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "id",
-                "fold",
-                "model_nll",
-                "baseline_nll",
-                "random_nll",
-                "model_se",
-                "baseline_se",
-                "random_se",
-            ]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.disruption_id,
-                    r.fold,
-                    _fmt(r.model_nll),
-                    _fmt(r.baseline_nll),
-                    _fmt(r.random_nll),
-                    _fmt(r.model_se),
-                    _fmt(r.baseline_se),
-                    _fmt(r.random_se),
-                ]
-            )
+    rows = (
+        [r.disruption_id, r.fold, *(fmt_float(getattr(r, m)) for m in _METRICS)] for r in records
+    )
+    write_csv(path, ["id", "fold", *_METRICS], rows)
 
 
 def _write_density_csv(path: Path, y: np.ndarray, p_model: np.ndarray, p_base: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y", "p_model", "p_baseline"])
-        for yi, pm, pb in zip(y, p_model, p_base):
-            writer.writerow([_fmt(yi), _fmt(pm), _fmt(pb)])
+    rows = ([fmt_float(yi), fmt_float(pm), fmt_float(pb)] for yi, pm, pb in zip(y, p_model, p_base))
+    write_csv(path, ["y", "p_model", "p_baseline"], rows)

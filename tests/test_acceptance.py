@@ -32,6 +32,7 @@ from distreg.pipeline import (
     resolve_rho,
     train,
 )
+from distreg.oracles import _simplex_grid as simplex_grid
 from distreg.regression import (
     TrainingPairs,
     apply_nonparametric,
@@ -43,7 +44,7 @@ from distreg.regression import (
 from distreg.sampler import Basis, expectation_gap, fit_mixture_weights, sample_mixture
 from distreg.simplex_qp import SimplexQPProblem, solve
 
-from util import dataset_days, gaussian_set, mixture_set, projected_operator_error, simplex_grid
+from util import dataset_days, gaussian_set, mixture_set, projected_operator_error
 
 K = KernelConfig(GAUSSIAN, 0.5)
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from distreg import GAUSSIAN, KernelConfig, pipeline
+from distreg import GAUSSIAN, KernelConfig, evaluation, pipeline
 from distreg.data_io import SyntheticScenario, generate_synthetic
 from distreg.evaluation import (
     baseline_model,
@@ -24,7 +24,7 @@ from distreg.evaluation import (
     uniform_simplex,
 )
 from distreg.network import Disruption
-from distreg.pipeline import DayCounts, InterferenceConfig, input_variable_samples
+from distreg.pipeline import DayCounts, InterferenceConfig, input_variable_samples, roi_exit_vector
 from distreg.sampler import Basis
 
 from util import dataset_days, gaussian_set
@@ -68,27 +68,28 @@ class TestSeverityScore:
 
     def test_equal_to_means_zero(self):
         dc = dc_from(5, {(2, 0, 15): 10, (2, 1, 15): 10})
-        assert severity_score(dc, np.array([10.0, 10.0]), self.Z) == 0.0
+        assert severity_score(roi_exit_vector(dc, self.Z), np.array([10.0, 10.0])) == 0.0
 
     def test_all_zero_observed_gives_one(self):
         dc = dc_from(5, {})
-        assert severity_score(dc, np.array([10.0, 10.0]), self.Z) == 1.0
+        assert severity_score(roi_exit_vector(dc, self.Z), np.array([10.0, 10.0])) == 1.0
 
     def test_hand_arithmetic(self):
         dc = dc_from(5, {(2, 0, 15): 5, (2, 1, 15): 10})
-        assert severity_score(dc, np.array([10.0, 10.0]), self.Z) == pytest.approx(0.125)
+        observed = roi_exit_vector(dc, self.Z)
+        assert severity_score(observed, np.array([10.0, 10.0])) == pytest.approx(0.125)
 
     def test_zero_denominator(self):
         dc = dc_from(5, {})
         with pytest.raises(ValueError, match="natural means"):
-            severity_score(dc, np.zeros(2), self.Z)
+            severity_score(roi_exit_vector(dc, self.Z), np.zeros(2))
 
     def test_scale_invariance(self):
         dc1 = dc_from(5, {(2, 0, 15): 5, (2, 1, 15): 10})
         dc3 = dc_from(5, {(2, 0, 15): 15, (2, 1, 15): 30})
         mean = np.array([10.0, 10.0])
-        assert severity_score(dc3, 3.0 * mean, self.Z) == pytest.approx(
-            severity_score(dc1, mean, self.Z), rel=1e-12
+        assert severity_score(roi_exit_vector(dc3, self.Z), 3.0 * mean) == pytest.approx(
+            severity_score(roi_exit_vector(dc1, self.Z), mean), rel=1e-12
         )
 
 
@@ -244,6 +245,29 @@ def small_dataset(seed=0, phi=0.8, n_disruptions=4):
     return ds, dataset_days(ds)
 
 
+CRITERION_9 = SyntheticScenario(
+    topology="grid", n_nodes=12, days=10, n_disruptions=4, phi=0.8,
+    rate_low=0.8, rate_high=1.6, window_min=80, window_max=140, seed=11,
+)
+
+
+def counted(monkeypatch, original) -> list[tuple]:
+    """Rebind `original` in every distreg module that binds it, so no call escapes
+    the count, with a wrapper that records each call's positional arguments."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "distreg":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestBaselineAndRandomModels:
     def test_baseline_equals_x3_rows(self):
         ds, days = small_dataset()
@@ -342,29 +366,12 @@ class TestRunEvaluation:
 
     @pytest.mark.parametrize("rho_mode", ["per-fold", "global"])
     def test_features_built_once_per_step(self, monkeypatch, rho_mode):
-        # the criterion-9 grid; every distreg module that binds the feature
-        # builder gets the counting wrapper, so no call escapes the count.
         # Each step builds a disruption's features once and derives its basis
         # and ROI totals from X3: scoring, then (per fold or globally) the
         # rho pool, then train per training disruption and predict per test one.
-        scenario = SyntheticScenario(
-            topology="grid", n_nodes=12, days=10, n_disruptions=4, phi=0.8,
-            rate_low=0.8, rate_high=1.6, window_min=80, window_max=140, seed=11,
-        )
-        ds = generate_synthetic(scenario)
+        ds = generate_synthetic(CRITERION_9)
         days = dataset_days(ds)
-        original = pipeline.input_variable_samples
-        calls = []
-
-        def counting(natural_days, z, g, cfg):
-            calls.append(z)
-            return original(natural_days, z, g, cfg)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").split(".")[0] == "distreg":
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+        calls = counted(monkeypatch, pipeline.input_variable_samples)
         scores, records = run_evaluation(
             days, ds.disruptions, ds.graph, InterferenceConfig(), out_dir=None,
             n_folds=2, top_n=20, seed=0, n_samples=50, rho_mode=rho_mode,
@@ -379,7 +386,25 @@ class TestRunEvaluation:
             if rho_mode == "per-fold":
                 expected += [z[k] for k in train_ids]
             expected += [z[k] for k in train_ids] + [z[k] for k in test_ids]
-        assert calls == expected
+        assert [args[1] for args in calls] == expected
+
+    @pytest.mark.parametrize("rho_mode", ["per-fold", "global"])
+    def test_observations_and_bandwidths_computed_once(self, monkeypatch, tmp_path, rho_mode):
+        # scoring scans each disruption day once for its ROI exit vector, and
+        # evaluation reuses it; each evaluated disruption gets one bandwidth per
+        # sample model, shared by its NLL and its density grids
+        ds = generate_synthetic(CRITERION_9)
+        scans = counted(monkeypatch, pipeline.roi_exit_vector)
+        bandwidths = counted(monkeypatch, evaluation.silverman_h)
+        nlls = counted(monkeypatch, evaluation.nll)
+        scores, records = run_evaluation(
+            dataset_days(ds), ds.disruptions, ds.graph, InterferenceConfig(), out_dir=tmp_path,
+            n_folds=2, top_n=20, seed=0, n_samples=50, rho_mode=rho_mode,
+        )
+        assert len(scores) == len(records) == len(ds.disruptions)
+        assert [args[1] for args in scans] == ds.disruptions
+        assert len(bandwidths) == len(nlls) == 3 * len(records)
+        assert len(list(tmp_path.glob("density_*.csv"))) == sum(len(z.roi) for z in ds.disruptions)
 
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()

@@ -24,6 +24,7 @@ from distreg import (
     mmd2,
 )
 from distreg import InterferenceConfig, kernels
+from distreg.oracles import _double_sum_inner as double_sum_inner
 from distreg.kernels import (
     Embedding,
     _dists,
@@ -34,7 +35,7 @@ from distreg.kernels import (
 )
 from distreg.pipeline import resolve_rho_from_features
 
-from util import double_sum_inner, gaussian_set
+from util import gaussian_set
 
 K_G = KernelConfig(GAUSSIAN, 0.25)
 K_L = KernelConfig(LAPLACE, 0.5)

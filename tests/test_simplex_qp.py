@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distreg.oracles import _simplex_grid as simplex_grid
 from distreg.simplex_qp import (
     SimplexQPError,
     SimplexQPProblem,
@@ -13,7 +14,7 @@ from distreg.simplex_qp import (
     solve,
 )
 
-from util import quadratic_objective, simplex_grid
+from util import quadratic_objective
 
 
 class TestProjectSimplex:

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: synthetic draws and brute-force oracles."""
+"""Shared helpers for the test suite: synthetic draws and brute-force references
+(the oracles that `distreg oracle` also runs are imported from `distreg.oracles`)."""
 
 from __future__ import annotations
 
@@ -6,12 +7,10 @@ import numpy as np
 
 from distreg import (
     DayCounts,
-    Embedding,
     KernelConfig,
     SampleSet,
     aggregate_columns,
     embed,
-    eval_kernel,
 )
 
 
@@ -34,33 +33,8 @@ def mixture_set(
     return SampleSet(rng.normal(loc=np.array(means)[comp], scale=1.0)[:, None])
 
 
-def double_sum_inner(k: KernelConfig, a: Embedding, b: Embedding) -> float:
-    """O(n*m) nested-loop oracle for the embedding inner product."""
-    total = 0.0
-    for i, x in enumerate(a.sample_set.samples):
-        for j, y in enumerate(b.sample_set.samples):
-            total += a.weights[i] * b.weights[j] * eval_kernel(k, x, y)
-    return total
-
-
 def quadratic_objective(G: np.ndarray, b: np.ndarray, theta: np.ndarray) -> float:
     return float(theta @ G @ theta - 2.0 * b @ theta)
-
-
-def simplex_grid(n: int, step: float) -> np.ndarray:
-    """All points of the n-simplex on a regular grid with the given step."""
-    ticks = int(round(1.0 / step))
-    if n == 2:
-        return np.array([(i / ticks, 1.0 - i / ticks) for i in range(ticks + 1)])
-    if n == 3:
-        return np.array(
-            [
-                (i / ticks, j / ticks, (ticks - i - j) / ticks)
-                for i in range(ticks + 1)
-                for j in range(ticks + 1 - i)
-            ]
-        )
-    raise ValueError("only n in {2, 3} supported")
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
