@@ -472,15 +472,22 @@ def load_graph(path: Path | str) -> Graph:
 
 
 def load_ground_truth(path: Path | str) -> list[GroundTruthRecord]:
-    """Ground-truth CSV; phi and scale must be finite numbers."""
-    return [
-        GroundTruthRecord(
-            disruption_id=_int_field(row, "disruption_id", where),
-            phi=_float_field(row, "phi", where),
-            scale=_float_field(row, "scale", where),
-        )
-        for where, row in _read_rows(Path(path), ["disruption_id", "phi", "scale"])
-    ]
+    """Ground-truth CSV as the generator writes it: one row per disruption id,
+    phi in [0, 1] and scale = 1 - phi (within 1e-12, so `0.8,0.2` loads)."""
+    out = []
+    seen = set()
+    for where, row in _read_rows(Path(path), ["disruption_id", "phi", "scale"]):
+        k = _int_field(row, "disruption_id", where)
+        phi, scale = _float_field(row, "phi", where), _float_field(row, "scale", where)
+        if k in seen:
+            raise ValueError(f"{where}: duplicate disruption_id={k}")
+        if not 0.0 <= phi <= 1.0:
+            raise ValueError(f"{where}: phi={phi!r} is outside [0, 1]")
+        if abs(scale - (1.0 - phi)) > 1e-12:
+            raise ValueError(f"{where}: scale={scale!r} is not 1 - phi = {1.0 - phi!r}")
+        seen.add(k)
+        out.append(GroundTruthRecord(disruption_id=k, phi=phi, scale=scale))
+    return out
 
 
 def load_scenario(path: Path | str) -> SyntheticScenario:

@@ -38,7 +38,6 @@ from .simplex_qp import SimplexQPError
 __all__ = [
     "ScoreRecord",
     "EvalRecord",
-    "NLLResult",
     "observable_score",
     "severity_score",
     "select_top",
@@ -64,18 +63,6 @@ class ScoreRecord:
     selected: bool
     # the disruption day's ROI exit vector the severity was scored on
     observation: PerturbedObservation = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class NLLResult:
-    """Raw NLL plus its log when defined (the figure axis); log is None if NLL <= 0."""
-
-    value: float
-    log_value: float | None
-
-    @classmethod
-    def from_value(cls, value: float) -> "NLLResult":
-        return cls(value=value, log_value=math.log(value) if value > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -186,10 +173,9 @@ def kde_log_density(samples, h, y) -> np.ndarray:
     return out
 
 
-def nll(model_samples, observed, h) -> NLLResult:
+def nll(model_samples, observed, h) -> float:
     """Negative log-likelihood of the observed vector under entry-wise KDE marginals."""
-    value = -float(np.sum(kde_log_density(model_samples, h, observed)))
-    return NLLResult.from_value(value)
+    return -float(np.sum(kde_log_density(model_samples, h, observed)))
 
 
 def squared_error(model_samples, observed) -> float:
@@ -329,9 +315,9 @@ def run_evaluation(
                 rec = EvalRecord(
                     disruption_id=k,
                     fold=fold_id,
-                    model_nll=nll(model_samples, obs_vec, h_model).value,
-                    baseline_nll=nll(baseline_samples, obs_vec, h_base).value,
-                    random_nll=nll(random_samples, obs_vec, silverman_h(random_samples)).value,
+                    model_nll=nll(model_samples, obs_vec, h_model),
+                    baseline_nll=nll(baseline_samples, obs_vec, h_base),
+                    random_nll=nll(random_samples, obs_vec, silverman_h(random_samples)),
                     model_se=squared_error(model_samples, obs_vec),
                     baseline_se=squared_error(baseline_samples, obs_vec),
                     random_se=squared_error(random_samples, obs_vec),

@@ -17,10 +17,15 @@ origins are all infeasible when xi < 1 and all feasible when xi >= 1.
 Journeys that both start and end at the station count as feasible, which
 keeps X1 nonzero wherever same-station traffic exists.
 
-Training fits a mixture-of-embeddings model from the five input
-embeddings to the single observed disruption-day exit vector; prediction
-combines new inputs with the fitted coefficients and projects the result
-onto a basis of rescaled natural marginals for sampling.
+The method is three steps, one function each: `resolve_rho` picks the
+kernel bandwidth by the median heuristic, `train` fits a
+mixture-of-embeddings model from the five input embeddings to the single
+observed disruption-day exit vector, and `predict` combines new inputs
+with the fitted coefficients and projects the result onto a basis of
+rescaled natural marginals for sampling. Each step builds the features of
+the disruptions it needs from the natural days other than the
+disruption's own, and takes the basis rows from X3, the natural ROI
+window totals.
 
 Journeys arrive as a day's int64 columns origin, destination, t_entry,
 t_exit (the layout the generator and `data_io.load_journeys` produce), and
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,15 +67,10 @@ __all__ = [
     "natural_pool",
     "natural_roi_totals",
     "input_variable_samples",
-    "DisruptionFeatures",
-    "disruption_features",
     "resolve_rho",
-    "resolve_rho_from_features",
     "train",
-    "train_from_features",
     "build_basis",
     "predict",
-    "predict_from_features",
     "N_TUBE_INPUTS",
 ]
 
@@ -345,51 +344,19 @@ def input_variable_samples(
     return (SampleSet(x1), SampleSet(x2), SampleSet(x3), SampleSet(x4), SampleSet(x5))
 
 
-@dataclass(frozen=True, eq=False)
-class DisruptionFeatures:
-    """One disruption's input variables X1..X5 over its natural days.
-
-    X3's rows are the per-day natural ROI window totals, so the
-    rescaled-marginal basis derives from them without another scan of the
-    day counts. `cfg` is the configuration the inputs were built with; only
-    its rescale levels and span enter the basis rows.
-    """
-
-    disruption: Disruption
-    inputs: tuple[SampleSet, SampleSet, SampleSet, SampleSet, SampleSet]
-    cfg: InterferenceConfig
-
-    @property
-    def totals(self) -> SampleSet:
-        """The natural ROI window totals (X3), one row per natural day."""
-        return self.inputs[2]
-
-    @cached_property
-    def basis_rows(self) -> tuple[np.ndarray, list[str]]:
-        """Stacked rescaled-marginal basis rows and their labels (see build_basis)."""
-        return _basis_rows(self.totals.samples, self.disruption, self.cfg)
-
-
-def disruption_features(
-    natural_days: Sequence[DayCounts],
-    z: Disruption,
-    g: Graph,
-    cfg: InterferenceConfig,
-) -> DisruptionFeatures:
+def _inputs(
+    natural_days: Sequence[DayCounts], z: Disruption, g: Graph, cfg: InterferenceConfig
+) -> tuple[SampleSet, SampleSet, SampleSet, SampleSet, SampleSet]:
     """X1..X5 for one disruption, computed from the natural days other than its own."""
-    naturals = [dc for dc in natural_days if dc.day != z.day]
-    return DisruptionFeatures(
-        disruption=z, inputs=input_variable_samples(naturals, z, g, cfg), cfg=cfg
-    )
+    return input_variable_samples([dc for dc in natural_days if dc.day != z.day], z, g, cfg)
 
 
-def _features(
-    natural_days: Sequence[DayCounts],
-    observations: Sequence[PerturbedObservation],
-    g: Graph,
-    cfg: InterferenceConfig,
-) -> list[DisruptionFeatures]:
-    return [disruption_features(natural_days, obs.disruption, g, cfg) for obs in observations]
+def _rho_from_pools(pools: Sequence[np.ndarray], family: str) -> float:
+    """Median-heuristic rho over the union of each pool's within-pool pairwise distances."""
+    m = median_pairwise_distance(pools, family)
+    if m <= 0.0:
+        raise ValueError("pooled median distance is zero; pass an explicit rho")
+    return rho_from_median(m, family)
 
 
 def resolve_rho(
@@ -409,26 +376,14 @@ def resolve_rho(
     rows (`kernels.median_pairwise_distance`), found without building the
     pooled distance vector.
     """
-    features = _features(natural_days, observations, g, cfg)
-    return resolve_rho_from_features(observations, features, cfg)
-
-
-def resolve_rho_from_features(
-    observations: Sequence[PerturbedObservation],
-    features: Sequence[DisruptionFeatures],
-    cfg: InterferenceConfig,
-) -> float:
-    """resolve_rho on precomputed features, one per observation and in the same order."""
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
-    pools = [
-        np.vstack([*(s.samples for s in f.inputs), obs.exit_vector[None, :], f.basis_rows[0]])
-        for obs, f in zip(observations, features, strict=True)
-    ]
-    m = median_pairwise_distance(pools, cfg.kernel_family)
-    if m <= 0.0:
-        raise ValueError("pooled median distance is zero; pass an explicit rho")
-    return rho_from_median(m, cfg.kernel_family)
+    pools = []
+    for obs in observations:
+        x = _inputs(natural_days, obs.disruption, g, cfg)
+        rows, _ = _basis_rows(x[2].samples, obs.disruption, cfg)
+        pools.append(np.vstack([*(s.samples for s in x), obs.exit_vector[None, :], rows]))
+    return _rho_from_pools(pools, cfg.kernel_family)
 
 
 def train(
@@ -444,25 +399,15 @@ def train(
     passed in are filtered per disruption so a disruption never sees its
     own day.
     """
-    return train_from_features(observations, _features(natural_days, observations, g, cfg), cfg)
-
-
-def train_from_features(
-    observations: Sequence[PerturbedObservation],
-    features: Sequence[DisruptionFeatures],
-    cfg: InterferenceConfig,
-) -> MixtureEmbeddingModel:
-    """train on precomputed features, one per observation and in the same order."""
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
     kernel = cfg.kernel()
-    inputs = []
-    outputs = []
-    for obs, f in zip(observations, features, strict=True):
-        inputs.append(tuple(embed(kernel, s) for s in f.inputs))
-        outputs.append(embed(kernel, SampleSet(obs.exit_vector[None, :])))
-    pairs = TrainingPairs(inputs=tuple(inputs), outputs=tuple(outputs))
-    return fit_mixture_embeddings(pairs, ridge=cfg.ridge)
+    inputs = tuple(
+        tuple(embed(kernel, s) for s in _inputs(natural_days, obs.disruption, g, cfg))
+        for obs in observations
+    )
+    outputs = tuple(embed(kernel, SampleSet(obs.exit_vector[None, :])) for obs in observations)
+    return fit_mixture_embeddings(TrainingPairs(inputs=inputs, outputs=outputs), ridge=cfg.ridge)
 
 
 def natural_roi_totals(natural_days: Sequence[DayCounts], z: Disruption) -> np.ndarray:
@@ -530,23 +475,12 @@ def predict(
     seed: int,
 ) -> tuple[FittedMixture, SampleSet]:
     """Predict the perturbed exit distribution for a new disruption and sample from it."""
-    features = disruption_features(natural_days, z_new, g, cfg)
-    return predict_from_features(model, features, cfg, n_samples, seed)
-
-
-def predict_from_features(
-    model: MixtureEmbeddingModel,
-    features: DisruptionFeatures,
-    cfg: InterferenceConfig,
-    n_samples: int,
-    seed: int,
-) -> tuple[FittedMixture, SampleSet]:
-    """predict on the new disruption's precomputed features."""
     if model.arity != N_TUBE_INPUTS:
         raise ValueError(f"model has arity {model.arity}, expected {N_TUBE_INPUTS}")
     kernel = cfg.kernel()
-    predicted = predict_embedding(model, [embed(kernel, s) for s in features.inputs])
-    basis = _basis(*features.basis_rows, kernel)
+    x = _inputs(natural_days, z_new, g, cfg)
+    predicted = predict_embedding(model, [embed(kernel, s) for s in x])
+    basis = _basis(*_basis_rows(x[2].samples, z_new, cfg), kernel)
     mixture = fit_mixture_weights(predicted, basis)
     samples = sample_mixture(mixture, n_samples, seed)
     return mixture, samples

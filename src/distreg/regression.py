@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Embedding, KernelConfig, combine, embedding_gram, inner
-from .simplex_qp import SimplexQPProblem, solve
+from .simplex_qp import SimplexQPProblem, simplex_point, solve
 
 __all__ = [
     "SingularGramError",
@@ -135,12 +135,7 @@ class MixtureDistributionModel:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64).reshape(-1)
-        if np.min(w) < -1e-12 or abs(float(np.sum(w)) - 1.0) > 1e-9:
-            raise ValueError("w must lie on the probability simplex")
-        w = np.maximum(w, 0.0)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", simplex_point(self.w, "w"))
 
     @property
     def arity(self) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Embedding, KernelConfig, SampleSet, embed, embedding_gram, inner
-from .simplex_qp import SimplexQPProblem, solve
+from .simplex_qp import SimplexQPProblem, simplex_point, solve
 
 __all__ = [
     "Basis",
@@ -98,11 +98,7 @@ class FittedMixture:
         theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
         if theta.shape[0] != len(self.basis):
             raise ValueError(f"theta length {theta.shape[0]} != basis size {len(self.basis)}")
-        if np.min(theta) < -1e-12 or abs(float(np.sum(theta)) - 1.0) > 1e-9:
-            raise ValueError("theta must lie on the probability simplex")
-        theta = np.maximum(theta, 0.0)
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", simplex_point(theta, "theta"))
 
 
 def fit_mixture_weights(target: Embedding, basis: Basis) -> FittedMixture:

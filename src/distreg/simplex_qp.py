@@ -20,6 +20,7 @@ __all__ = [
     "SimplexQPSolution",
     "SimplexQPError",
     "project_simplex",
+    "simplex_point",
     "solve",
 ]
 
@@ -89,14 +90,23 @@ class SimplexQPSolution:
     iterations: int
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        if np.min(theta) < -1e-12:
-            raise ValueError(f"solution has negative entry {np.min(theta)}")
-        if abs(float(np.sum(theta)) - 1.0) > 1e-9:
-            raise ValueError(f"solution mass {np.sum(theta)} is not 1 within 1e-9")
-        theta = theta.copy()
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", simplex_point(self.theta, "solution"))
+
+
+def simplex_point(x, name: str) -> np.ndarray:
+    """`x` as a read-only float64 vector on the probability simplex.
+
+    Entries may fall below 0 by 1e-12 and the mass may miss 1 by 1e-9
+    (solver rounding); the entries below 0 are then clamped to 0.
+    """
+    v = np.asarray(x, dtype=np.float64).reshape(-1)
+    if np.min(v) < -1e-12:
+        raise ValueError(f"{name} must lie on the probability simplex: entry {np.min(v)} < 0")
+    if abs(float(np.sum(v)) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must lie on the probability simplex: mass {np.sum(v)} != 1")
+    v = np.maximum(v, 0.0)
+    v.flags.writeable = False
+    return v
 
 
 def project_simplex(v) -> np.ndarray:

@@ -146,6 +146,30 @@ class TestLoadGroundTruth:
         with pytest.raises(ValueError, match=f"ground_truth.csv line 3: bad number {key}="):
             load_ground_truth(p)
 
+    @pytest.mark.parametrize(
+        "row, key",
+        [
+            ("1,1.5,-0.5", "phi"),
+            ("1,-0.25,1.25", "phi"),
+            ("1,0.8,0.3", "scale"),
+            ("1,0.8,0.2000000001", "scale"),
+            ("0,0.5,0.5", "disruption_id"),
+        ],
+        ids=["phi-above-one", "phi-below-zero", "scale-not-one-minus-phi", "scale-off-by-1e-10",
+             "repeated-id"],
+    )
+    def test_bad_value_names_file_line_and_key(self, tmp_path, row, key):
+        p = write(tmp_path / "ground_truth.csv", f"disruption_id,phi,scale\n0,0.8,0.2\n{row}\n")
+        with pytest.raises(ValueError, match=f"ground_truth.csv line 3: .*{key}="):
+            load_ground_truth(p)
+
+    def test_hand_written_scale_loads(self, tmp_path):
+        # 1.0 - 0.8 is 0.19999999999999996, not 0.2: the scale check has a tolerance
+        p = write(tmp_path / "ground_truth.csv", "disruption_id,phi,scale\n0,0.8,0.2\n1,0,1\n")
+        assert [(r.disruption_id, r.phi, r.scale) for r in load_ground_truth(p)] == [
+            (0, 0.8, 0.2), (1, 0.0, 1.0)
+        ]
+
 
 class TestLoadGraph:
     def test_basic(self, tmp_path):

@@ -1,7 +1,6 @@
 """Kernel, Gram, and mean-embedding tests."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from distreg import (
     median_heuristic,
     mmd2,
 )
-from distreg import InterferenceConfig, kernels
+from distreg import kernels
 from distreg.oracles import _double_sum_inner as double_sum_inner
 from distreg.kernels import (
     Embedding,
@@ -31,11 +30,10 @@ from distreg.kernels import (
     median_pairwise_distance,
     pairwise_distances,
     rho_from_median,
-    subsample_rows,
 )
-from distreg.pipeline import resolve_rho_from_features
+from distreg.pipeline import _rho_from_pools
 
-from util import gaussian_set
+from util import gaussian_set, reference_median, reference_rho
 
 K_G = KernelConfig(GAUSSIAN, 0.25)
 K_L = KernelConfig(LAPLACE, 0.5)
@@ -326,26 +324,6 @@ class TestMedianHeuristic:
         assert median_heuristic(X) == median_heuristic(X)
 
 
-def reference_median(pools, family):
-    """The pooled median as taken before the distinct-row helper: every distance, then np.median."""
-    return float(
-        np.median(np.concatenate([pairwise_distances(subsample_rows(p), family) for p in pools]))
-    )
-
-
-def reference_rho(m, family):
-    return 1.0 / (2.0 * m * m) if family == GAUSSIAN else 1.0 / m
-
-
-def stub_features(pools):
-    """Observations and features whose resolve_rho pools are exactly `pools` (>= 3 rows each)."""
-    observations = [SimpleNamespace(exit_vector=p[-2]) for p in pools]
-    features = [
-        SimpleNamespace(inputs=(SampleSet(p[:-2]),), basis_rows=(p[-1:], [])) for p in pools
-    ]
-    return observations, features
-
-
 # few distinct coordinates, so rows repeat often; 0.1, 0.2 and 0.3 make inexact sums
 COORDS = st.sampled_from([0.0, 1.0, -2.5, 0.1, 0.2, 0.3, 7.0]) | st.floats(-1e3, 1e3)
 
@@ -385,15 +363,13 @@ class TestMedianPairwiseDistance:
         want = reference_median(pools, family)
         m = median_pairwise_distance(pools, family)
         assert m == want
-        observations, features = stub_features(pools)
-        cfg = InterferenceConfig(kernel_family=family)
         if want > 0.0:
             rho = reference_rho(want, family)
             assert rho_from_median(m, family) == rho
-            assert resolve_rho_from_features(observations, features, cfg) == rho
+            assert _rho_from_pools(pools, family) == rho
         else:
             with pytest.raises(ValueError, match="pooled median distance is zero; pass an explicit"):
-                resolve_rho_from_features(observations, features, cfg)
+                _rho_from_pools(pools, family)
         if len(pools) == 1:
             X = SampleSet(pools[0])
             if want > 0.0:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distreg import SampleSet, embed
+from distreg import GAUSSIAN, LAPLACE, SampleSet, embed
 from distreg.network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from distreg.pipeline import (
     DayCounts,
@@ -21,7 +21,7 @@ from distreg.pipeline import (
     train,
 )
 from distreg.regression import MixtureEmbeddingModel, TrainingPairs, training_objective
-from util import compositions
+from util import compositions, reference_median, reference_rho
 
 # 5 nodes, two routes between 0 and 2 (0-1-2 and 0-3-4-2)
 G5 = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
@@ -314,6 +314,34 @@ class TestResolveRho:
         r1 = resolve_rho(days, obs, G5, CFG)
         r2 = resolve_rho(days, obs, G5, CFG)
         assert r1 == r2 > 0.0
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    def test_pool_is_inputs_observation_and_basis_rows(self, family):
+        # each disruption's pool, built by hand: X1..X5 rows, the observed
+        # vector, then the rows of every basis component
+        days = hand_days(6)
+        zs = [
+            Disruption(day=10, t_start=20, t_end=60, roi=(1, 2)),
+            Disruption(day=11, t_start=10, t_end=50, roi=(2,)),
+        ]
+        obs = [
+            PerturbedObservation.from_day_counts(day_counts(z.day, quads), z)
+            for z, quads in zip(zs, [[(0, 1, 30, 9), (3, 2, 50, 4)], [(3, 2, 40, 7)]])
+        ]
+        cfg = InterferenceConfig(kernel_family=family)
+        parts = []
+        for o in obs:
+            z = o.disruption
+            inputs = np.vstack([s.samples for s in input_variable_samples(days, z, G5, cfg)])
+            basis = build_basis(days, z, cfg.with_rho(1.0))  # rho does not move the rows
+            rows = np.vstack([c.samples for c in basis.components])
+            parts.append((inputs, o.exit_vector[None, :], rows))
+        pools = [np.vstack(p) for p in parts]
+        want = reference_median(pools, family)
+        # leaving out the observations or the basis rows moves the median
+        assert reference_median([np.vstack((x, b)) for x, _, b in parts], family) != want
+        assert reference_median([np.vstack((x, v)) for x, v, _ in parts], family) != want
+        assert resolve_rho(days, obs, G5, cfg) == reference_rho(want, family)
 
     def test_degenerate_traffic_rejected(self):
         # no ROI traffic at all: the basis (and hence the pooled scale) is degenerate

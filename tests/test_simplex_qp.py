@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distreg import Basis, FittedMixture, KernelConfig, MixtureDistributionModel, SampleSet
 from distreg.oracles import _simplex_grid as simplex_grid
 from distreg.simplex_qp import (
     SimplexQPError,
@@ -70,6 +71,36 @@ class TestProjectSimplex:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             project_simplex([np.nan, 0.0])
+
+
+BASIS2 = Basis.from_components(
+    KernelConfig("gaussian", 1.0), [SampleSet(np.array([[0.0]])), SampleSet(np.array([[1.0]]))]
+)
+# the three holders of a point on the simplex, each built from a 2-vector
+SIMPLEX_HOLDERS = {
+    "solution": lambda t: SimplexQPSolution(
+        theta=t, objective=0.0, kkt_residual=0.0, iterations=1
+    ).theta,
+    "w": lambda t: MixtureDistributionModel(w=t).w,
+    "theta": lambda t: FittedMixture(basis=BASIS2, theta=t, fit_residual=0.0).theta,
+}
+
+
+class TestSimplexPoint:
+    @pytest.mark.parametrize("name", sorted(SIMPLEX_HOLDERS))
+    @pytest.mark.parametrize(
+        "theta, why", [([0.7, 0.7], "mass"), ([1.5, -0.5], "entry"), ([1.0 + 2e-9, 0.0], "mass")]
+    )
+    def test_one_rule_for_every_holder(self, name, theta, why):
+        with pytest.raises(ValueError, match=f"{name} must lie on the probability simplex: {why}"):
+            SIMPLEX_HOLDERS[name](np.array(theta))
+
+    @pytest.mark.parametrize("name", sorted(SIMPLEX_HOLDERS))
+    def test_rounding_is_clamped_in_a_read_only_copy(self, name):
+        t = np.array([-1e-13, 1.0 + 5e-10])
+        got = SIMPLEX_HOLDERS[name](t)
+        assert got.tolist() == [0.0, 1.0 + 5e-10] and not got.flags.writeable
+        assert t[0] == -1e-13
 
 
 class TestProblemValidation:

@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from distreg import (
+    GAUSSIAN,
     DayCounts,
     KernelConfig,
     SampleSet,
     aggregate_columns,
     embed,
 )
+from distreg.kernels import pairwise_distances, subsample_rows
 
 
 def dataset_days(ds) -> dict[int, DayCounts]:
@@ -46,6 +48,17 @@ def compositions(total: int, parts: int) -> np.ndarray:
         rest = compositions(total - first, parts - 1)
         out.append(np.hstack([np.full((rest.shape[0], 1), first), rest]))
     return np.vstack(out)
+
+
+def reference_median(pools, family: str) -> float:
+    """The pooled median taken the long way: every within-pool distance, then np.median."""
+    return float(
+        np.median(np.concatenate([pairwise_distances(subsample_rows(p), family) for p in pools]))
+    )
+
+
+def reference_rho(m: float, family: str) -> float:
+    return 1.0 / (2.0 * m * m) if family == GAUSSIAN else 1.0 / m
 
 
 def projected_operator_error(kernel: KernelConfig, qs, ps) -> float:
