@@ -94,6 +94,24 @@ def _gram_suite() -> list[OracleCase]:
                 detail=f"fast={fast:.15f} full={full:.15f}",
             )
         )
+    # 65 rows per block over 1000 columns: 9 blocks, the last one 16 rows, so each
+    # of two workers takes several blocks and one of them a tail that is not full
+    m = 1000
+    rows = kernels._BLOCK_ELEMS // m
+    n = 8 * rows + rows // 4
+    for family in (GAUSSIAN, LAPLACE):
+        k = KernelConfig(family=family, rho=0.7)
+        a = embed(k, SampleSet(rng.normal(size=(n, 2))))
+        b = embed(k, SampleSet(rng.normal(size=(m, 2))))
+        fast = inner(a, b)
+        full = float(a.weights @ gram(k, a.sample_set, b.sample_set) @ b.weights)
+        cases.append(
+            OracleCase(
+                name=f"gram/tall-{family}-n{n}",
+                passed=abs(fast - full) <= 1e-12,
+                detail=f"fast={fast:.15f} full={full:.15f}",
+            )
+        )
     return cases
 
 

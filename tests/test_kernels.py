@@ -1,6 +1,9 @@
 """Kernel, Gram, and mean-embedding tests."""
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -187,24 +190,94 @@ class TestInner:
 BLOCK_SHAPES = [(3, 70_000), (500, 300), (14_000, 5), (10, 3), (7, 9)]
 
 
+def signed_pair(seed, family, n, m, dim):
+    """Two embeddings with normal samples and signed normal weights."""
+    rng = np.random.default_rng(seed)
+    k = KernelConfig(family, 0.3)
+    X, Y = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    return Embedding(k, SampleSet(X), rng.normal(size=n)), Embedding(k, SampleSet(Y), rng.normal(size=m))
+
+
+def full_gram_reduction(a, b):
+    """<a, b> from the whole Gram, summed row by row and then over the rows, as inner() sums."""
+    G = gram(a.kernel, a.sample_set, b.sample_set)
+    return float(np.sum(a.weights * np.sum(G * b.weights, axis=1)))
+
+
 class TestInnerBitIdentity:
     """inner() sums each weighted Gram row pairwise over all of its columns, then
-    the weighted row sums, whatever the height of the row blocks it computes."""
+    the weighted row sums, whatever the height of the row blocks it computes and
+    however many workers share them."""
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n, m", BLOCK_SHAPES)
     def test_equals_full_gram_reduction(self, monkeypatch, family, dim, n, m):
-        rng = np.random.default_rng([n, m, dim])
-        k = KernelConfig(family, 0.3)
-        X, Y = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
-        a = Embedding(k, SampleSet(X), rng.normal(size=n))
-        b = Embedding(k, SampleSet(Y), rng.normal(size=m))
-        want = float(np.sum(a.weights * np.sum(gram(k, X, Y) * b.weights, axis=1)))
+        a, b = signed_pair([n, m, dim], family, n, m, dim)
+        want = full_gram_reduction(a, b)
         assert inner(a, b) == want
-        for elems in (1, 7, 1000, 2**20):
+        for elems in (kernels._BLOCK_ELEMS, 1, 7, 1000, 2**20):
             monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
-            assert inner(a, b) == want
+            # 8 workers is more than the blocks of several of these calls
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+                assert inner(a, b) == want
+
+
+class BlockFault(Exception):
+    pass
+
+
+class TestInnerWorkers:
+    """The worker threads of one inner() call are joined before it returns."""
+
+    @pytest.mark.parametrize("bad_row", [3, 190], ids=["caller-run", "last-worker-run"])
+    def test_error_in_a_run_is_raised_and_threads_joined(self, monkeypatch, bad_row):
+        # 200 rows, 10 per block: 20 blocks in runs of 6, 7 and 7 blocks over 3 workers
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 10 * 50)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        k = KernelConfig(GAUSSIAN, 0.3)
+        a = embed(k, SampleSet(np.arange(200.0)))
+        b = embed(k, SampleSet(np.linspace(0.0, 1.0, 50)))
+
+        def faulty(kc, X, Y, out=None, tmp=None, _kernel_matrix=kernels._kernel_matrix):
+            if X[0, 0] <= bad_row <= X[-1, 0]:
+                raise BlockFault(f"block holding row {bad_row}")
+            return _kernel_matrix(kc, X, Y, out, tmp)
+
+        monkeypatch.setattr(kernels, "_kernel_matrix", faulty)
+        before = threading.active_count()
+        with pytest.raises(BlockFault, match=f"row {bad_row}$"):
+            inner(a, b)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # one row per block, so 16 threads race through 500 blocks while the
+        # interpreter switches threads as often as it can
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 16)
+        a, b = signed_pair(16, GAUSSIAN, 500, 300, 2)
+        want = full_gram_reduction(a, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [inner(a, b) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 5
+
+    @pytest.mark.parametrize(
+        "n, cpus", [(10, 8), (14_000, 1)], ids=["one-block", "one-cpu"]
+    )
+    def test_starts_no_thread(self, monkeypatch, n, cpus):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        a, b = signed_pair(n, LAPLACE, n, 5, 2)
+        assert inner(a, b) == full_gram_reduction(a, b)
 
 
 class TestEmbeddingGram:
