@@ -8,15 +8,21 @@ exact up to floating point.
 Reductions avoid BLAS on purpose: distances accumulate over feature axes
 in a fixed order, and an inner product sums each row of the weighted
 Gram pairwise over all of its columns, then sums the weighted row sums
-pairwise again. The rows are computed a cache-sized block at a time, and
-the row blocks are split across one worker thread per usable CPU, each
-with its own buffers. Neither the block height nor the number of workers
-affects any bit: the summation tree depends only on the shapes, so
-repeated runs give bit-identical results on any machine.
+pairwise again. A self product, `inner(a, a)`, computes only the strictly
+lower triangle of its symmetric Gram: row i is summed as a full row of n
+values with exact zeros from column i on, of whose pairwise summation
+tree only the parts holding the triangle are computed, and the diagonal,
+exactly 1, enters as sum_i w_i (w_i + 2 r_i). The rows are computed a
+cache-sized block at a time, and the row blocks are split by work across
+one worker thread per usable CPU, each with its own buffers. Neither the
+block height nor the number of workers affects any bit: the summation
+tree depends only on the shapes, so repeated runs give bit-identical
+results on any machine.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -177,9 +183,9 @@ def _kernel_matrix(
     return out
 
 
-# elements per row block of the inner-product reduction: 512 KiB of float64,
-# so the block and its per-axis scratch stay in a core's L2 cache
-_BLOCK_ELEMS = 1 << 16
+# elements per row block of the inner-product reduction: 1 MiB of float64, so
+# the block and its per-axis scratch stay in a core's 2 MiB L2 cache
+_BLOCK_ELEMS = 1 << 17
 
 
 def _usable_cpus() -> int:
@@ -190,29 +196,165 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """Uninitialised float64 vector of `size` elements starting on a 64-byte boundary."""
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size]
+
+
+def _pairwise_widths(n: int) -> list[int]:
+    """Prefix lengths on the left edge of numpy's pairwise summation tree for n values.
+
+    numpy sums n > 128 values as the sum of the first n2 and of the other
+    n - n2, with n2 = n // 2 rounded down to a multiple of 8, and recurses
+    into each part. A row of n values whose entries from index p on are
+    exact zeros therefore sums, bit for bit, to the sum of its first c
+    values for every listed c >= p: each right part cut off adds exactly 0.
+    """
+    widths = [n]
+    while n > 128:
+        n = n // 2 - n // 2 % 8
+        widths.append(n)
+    return widths
+
+
+def _triangle_blocks(n: int) -> list[tuple[int, int, int, int]]:
+    """Row blocks (i0, i1, cols, width) of the strictly lower triangle of an n x n matrix.
+
+    Row i holds columns j < i. A block computes columns [0, cols) of rows
+    i0..i1 - 1 and sums each row over `width` values: the shortest of
+    `_pairwise_widths(n)` that holds column i1 - 2. cols = min(i1, width),
+    one column more than the rows need where that fits, so that the only
+    block of a small triangle, and the last block of a large one, compute
+    whole, contiguous rows. A block takes the most rows that keep rows x
+    width within `_BLOCK_ELEMS`, and at least one. It also takes at most
+    i0 // 4 rows, or the rows a full-width block holds if that is more,
+    because it computes, and wastes, the upper half of its last rows x
+    rows columns.
+    """
+    widths = _pairwise_widths(n)[::-1]
+    blocks = []
+    i0 = 0
+    while i0 < n:
+        most = max(_BLOCK_ELEMS // n, i0 // 4)
+        # rows i <= c may be summed over c values
+        i1 = max(i0 + 1, *(min(c + 1, n, i0 + most, i0 + _BLOCK_ELEMS // c) for c in widths))
+        width = next(c for c in widths if c >= i1 - 1)
+        blocks.append((i0, i1, min(i1, width), width))
+        i0 = i1
+    return blocks
+
+
+@functools.lru_cache(maxsize=32)
+def _diagonal_mask(rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) mask of the entries (r, q) with q >= r.
+
+    Over columns i0.. of a block of rows i0.., it marks the entries of
+    columns j >= i in row i.
+    """
+    mask = np.arange(cols) >= np.arange(rows)[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def _block_row_sums(
     k: KernelConfig,
     X: np.ndarray,
     Y: np.ndarray,
     wb: np.ndarray,
-    rows: int,
+    blocks: Sequence[tuple[int, int, int, int]],
     row_sums: np.ndarray,
-    i0: int,
-    i1: int,
+    triangle: bool,
 ) -> None:
-    """Fill row_sums[i0:i1] with the weighted Gram row sums, `rows` rows per block.
+    """Fill row_sums[i0:i1] for each block (i0, i1, cols, width), in order.
 
-    One block buffer (and one per-axis scratch buffer) of its own is
-    reused by every block of the run.
+    The block's rows get wb_j k(X_i, Y_j) in columns j < cols and exact
+    zeros from there up to `width`; with `triangle`, also in every column
+    j >= i of row i. Each row is summed pairwise over its `width` values.
+    One block buffer and one per-axis scratch buffer of its own, 64-byte
+    aligned when they are larger than numpy's ufunc buffer, are reused by
+    every block of the run.
     """
-    buf = np.empty((min(rows, i1 - i0), Y.shape[0]))
-    tmp = np.empty_like(buf) if X.shape[1] > 1 else None
-    for j0 in range(i0, i1, rows):
-        j1 = min(j0 + rows, i1)
-        h = j1 - j0
-        block = _kernel_matrix(k, X[j0:j1], Y, buf[:h], None if tmp is None else tmp[:h])
-        np.multiply(block, wb, out=block)
-        np.sum(block, axis=1, out=row_sums[j0:j1])
+    size = max((i1 - i0) * width for i0, i1, _, width in blocks)
+    # With its default 8192-element ufunc buffer, numpy (2.4 measured) runs a
+    # broadcast operation on rows shorter than about 2,700 columns, or an
+    # operation on a view into wider rows, 3-4x slower than with a small
+    # buffer. The buffer size changes no value; numpy keeps it per thread
+    # (a context variable), and it is restored before returning. Blocks that
+    # fit in the default buffer gain from neither that nor aligned buffers,
+    # so they skip both.
+    large = size > 8192
+    empty = _aligned_empty if large else np.empty
+    buf = empty(size)
+    tmp = None
+    if X.shape[1] > 1:
+        tmp = empty(max((i1 - i0) * cols for i0, i1, cols, _ in blocks))
+    bufsize = np.setbufsize(128) if large else None
+    try:
+        for i0, i1, cols, width in blocks:
+            h = i1 - i0
+            rows = buf[: h * width].reshape(h, width)
+            block = rows[:, :cols]
+            scratch = None if tmp is None else tmp[: h * cols].reshape(h, cols)
+            _kernel_matrix(k, X[i0:i1], Y[:cols], block, scratch)
+            np.multiply(block, wb[:cols], out=block)
+            if triangle:
+                rows[:, cols:] = 0.0
+                np.copyto(rows[:, i0:cols], 0.0, where=_diagonal_mask(h, cols - i0))
+            np.sum(rows, axis=1, out=row_sums[i0:i1])
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+
+
+def _row_sums(
+    k: KernelConfig,
+    X: np.ndarray,
+    Y: np.ndarray,
+    wb: np.ndarray,
+    blocks: list[tuple[int, int, int, int]],
+    triangle: bool,
+) -> np.ndarray:
+    """Row sums of `_block_row_sums` over all blocks, split across the usable CPUs.
+
+    The blocks are cut into one contiguous run per worker, w = min(usable
+    CPUs, blocks), by work: laid end to end, a block goes to the run of
+    the w equal parts its middle falls in. A block's work counts two units
+    per computed kernel value and one per summed value, about what each
+    costs. The calling thread computes the first run and a pool of w - 1
+    threads, joined before this returns, the others; numpy releases the
+    GIL inside each block's ufuncs. Each row is summed within one block,
+    so w changes no bit.
+    """
+    row_sums = np.empty(X.shape[0])
+    workers = min(_usable_cpus(), len(blocks))
+    if workers == 1:
+        _block_row_sums(k, X, Y, wb, blocks, row_sums, triangle)
+        return row_sums
+    work = [(i1 - i0) * (2 * cols + width) for i0, i1, cols, width in blocks]
+    total = sum(work)
+    runs = [[] for _ in range(workers)]
+    done = 0
+    for block, units in zip(blocks, work):
+        runs[(2 * done + units) * workers // (2 * total)].append(block)
+        done += units
+    # the first and the last block always land in different runs
+    runs = [run for run in runs if run]
+    # imported here: with the `logging` it loads it holds about 0.6 MB of RSS,
+    # which a process whose reductions each fit one block (a `distreg
+    # evaluate` on the criterion-8 grid, for one) need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(runs) - 1) as pool:
+        futures = [
+            pool.submit(_block_row_sums, k, X, Y, wb, run, row_sums, triangle)
+            for run in runs[1:]
+        ]
+        _block_row_sums(k, X, Y, wb, runs[0], row_sums, triangle)
+        for future in futures:
+            future.result()
+    return row_sums
 
 
 def _weighted_kernel_sum(
@@ -223,37 +365,30 @@ def _weighted_kernel_sum(
     Each row of the weighted Gram is summed by numpy's pairwise summation
     over all of its columns, and the weighted row sums reduce pairwise
     again, so the summation tree is a fixed function of the shapes alone.
-    Rows are computed in blocks of about `_BLOCK_ELEMS` elements. The
-    blocks are split into one contiguous run of whole blocks per worker,
-    w = min(usable CPUs, blocks); each run reuses one block buffer and one
-    per-axis scratch buffer of its own. The calling thread computes the
-    first run and a pool of w - 1 threads, joined before this returns,
-    the others; numpy releases the GIL inside each block's ufuncs. Neither
-    the block height nor w changes any bit of the result.
+    Rows are computed in blocks of about `_BLOCK_ELEMS` elements, split
+    across the usable CPUs by `_row_sums`. Neither the block height nor the
+    number of workers changes any bit of the result. `inner` sends a self
+    product to `_self_kernel_sum` instead, which computes one triangle.
     """
     n, m = X.shape[0], Y.shape[0]
     rows = min(n, max(1, _BLOCK_ELEMS // m))
-    blocks = -(-n // rows)
-    row_sums = np.empty(n)
-    workers = min(_usable_cpus(), blocks)
-    if workers == 1:
-        _block_row_sums(k, X, Y, wb, rows, row_sums, 0, n)
-    else:
-        # imported here: with the `logging` it loads it holds about 0.6 MB of RSS,
-        # which a process whose reductions each fit one block (a `distreg
-        # evaluate` on the criterion-8 grid, for one) need not pay
-        from concurrent.futures import ThreadPoolExecutor
+    blocks = [(i0, min(i0 + rows, n), m, m) for i0 in range(0, n, rows)]
+    return float(np.sum(wa * _row_sums(k, X, Y, wb, blocks, False)))
 
-        ends = [min(n, t * blocks // workers * rows) for t in range(workers + 1)]
-        with ThreadPoolExecutor(workers - 1) as pool:
-            runs = [
-                pool.submit(_block_row_sums, k, X, Y, wb, rows, row_sums, ends[t], ends[t + 1])
-                for t in range(1, workers)
-            ]
-            _block_row_sums(k, X, Y, wb, rows, row_sums, ends[0], ends[1])
-            for run in runs:
-                run.result()
-    return float(np.sum(wa * row_sums))
+
+def _self_kernel_sum(k: KernelConfig, X: np.ndarray, w: np.ndarray) -> float:
+    """sum_ij w_i w_j k(X_i, X_j) from the strictly lower triangle of the Gram.
+
+    The diagonal is exactly 1 (k(x, x) = exp(-0) for both families), so
+    the sum is sum_i w_i (w_i + 2 r_i) with r_i = sum_{j<i} w_j k(X_i, X_j).
+    Each r_i is numpy's pairwise sum of the full row of n values with exact
+    zeros in columns j >= i; the all-zero right parts of its summation
+    tree are skipped (`_pairwise_widths`), so only the triangle and a few
+    zeros past it are computed. The r_i reduce pairwise as above. The bits
+    depend on n alone, never on the block height or the number of workers.
+    """
+    r = _row_sums(k, X, X, w, _triangle_blocks(X.shape[0]), True)
+    return float(np.sum(w * (w + 2.0 * r)))
 
 
 def eval_kernel(k: KernelConfig, x, y) -> float:
@@ -289,8 +424,15 @@ def _check_compatible(a: Embedding, b: Embedding) -> None:
 
 
 def inner(a: Embedding, b: Embedding) -> float:
-    """RKHS inner product <a, b> = w_a^T G w_b over the two sample sets."""
+    """RKHS inner product <a, b> = w_a^T G w_b over the two sample sets.
+
+    A self product, `inner(a, a)` on one object, sums only the strictly
+    lower triangle of its symmetric Gram (`_self_kernel_sum`); its bits may
+    differ in the last places from `inner(a, b)` with b an equal copy.
+    """
     _check_compatible(a, b)
+    if a is b:
+        return _self_kernel_sum(a.kernel, a.sample_set.samples, a.weights)
     return _weighted_kernel_sum(
         a.kernel, a.sample_set.samples, a.weights, b.sample_set.samples, b.weights
     )

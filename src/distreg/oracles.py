@@ -8,6 +8,7 @@ output is identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,15 @@ def _gram_suite() -> list[OracleCase]:
                     detail=f"fast={fast:.15f} slow={slow:.15f}",
                 )
             )
+            fast = inner(a, a)
+            slow = _double_sum_inner(k, a, a)
+            cases.append(
+                OracleCase(
+                    name=f"gram/self-{family}-{trial}",
+                    passed=abs(fast - slow) <= 1e-12,
+                    detail=f"fast={fast:.15f} slow={slow:.15f}",
+                )
+            )
             m_fast = mmd2(a, b)
             m_slow = (
                 _double_sum_inner(k, a, a)
@@ -108,6 +118,21 @@ def _gram_suite() -> list[OracleCase]:
         cases.append(
             OracleCase(
                 name=f"gram/tall-{family}-n{n}",
+                passed=abs(fast - full) <= 1e-12,
+                detail=f"fast={fast:.15f} full={full:.15f}",
+            )
+        )
+    # a self product over about nine budgets of entries: the lower triangle, over
+    # several summation widths, in blocks that two workers split between them
+    n = 3 * math.isqrt(kernels._BLOCK_ELEMS)
+    for family in (GAUSSIAN, LAPLACE):
+        k = KernelConfig(family=family, rho=0.7)
+        a = embed(k, SampleSet(rng.normal(size=(n, 2))))
+        fast = inner(a, a)
+        full = float(a.weights @ gram(k, a.sample_set, a.sample_set) @ a.weights)
+        cases.append(
+            OracleCase(
+                name=f"gram/self-tall-{family}-n{n}",
                 passed=abs(fast - full) <= 1e-12,
                 detail=f"fast={fast:.15f} full={full:.15f}",
             )

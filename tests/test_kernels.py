@@ -224,21 +224,101 @@ class TestInnerBitIdentity:
                 assert inner(a, b) == want
 
 
+def triangle_reference(a):
+    """<a, a> from the whole Gram: each row's weighted entries left of the diagonal,
+    exact zeros in the rest of the row, summed over all n columns as r_i; then
+    sum_i w_i (w_i + 2 r_i)."""
+    G = gram(a.kernel, a.sample_set, a.sample_set)
+    w = a.weights
+    r = np.sum(np.tril(G * w, -1), axis=1)
+    return float(np.sum(w * (w + 2.0 * r)))
+
+
+# one row; 7 values, which numpy sums in order; 129, one past the 128 values at
+# which its pairwise sum starts to split, so 2 widths of the summation tree; 3
+# and 4 widths; and, at 700, several blocks at the default block size
+SELF_SIZES = [1, 7, 129, 300, 700]
+
+
+class TestInnerSelfProduct:
+    """inner(a, a) sums the strictly lower triangle of the symmetric Gram, whatever
+    the height of the row blocks it computes and however many workers share them."""
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", SELF_SIZES)
+    def test_equals_triangle_reference(self, monkeypatch, family, dim, n):
+        a, _ = signed_pair([n, dim], family, n, 1, dim)
+        want = triangle_reference(a)
+        assert inner(a, a) == want
+        for elems in (kernels._BLOCK_ELEMS, 1, 7, 1000, 2**20):
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+                assert inner(a, a) == want
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "signed"])
+    @pytest.mark.parametrize("n", [7, 300, 700])
+    def test_agrees_with_an_equal_copy(self, family, uniform, n):
+        a, _ = signed_pair([n, 3], family, n, 1, 2)
+        if uniform:
+            a = embed(a.kernel, a.sample_set)
+        copy = Embedding(a.kernel, SampleSet(a.sample_set.samples), a.weights)
+        assert copy is not a
+        got, full = inner(a, a), inner(a, copy)
+        assert got == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    def test_mirror_entries_are_not_computed(self, monkeypatch):
+        n = 2000
+        a, _ = signed_pair(5, GAUSSIAN, n, 1, 1)
+        computed = []
+
+        def counting(kc, X, Y, out=None, tmp=None, _kernel_matrix=kernels._kernel_matrix):
+            computed.append(X.shape[0] * Y.shape[0])
+            return _kernel_matrix(kc, X, Y, out, tmp)
+
+        monkeypatch.setattr(kernels, "_kernel_matrix", counting)
+        inner(a, a)
+        # the strictly lower triangle, plus the upper half of each block's last
+        # rows x rows columns; the full Gram is n * n
+        assert n * (n - 1) // 2 <= sum(computed) < 0.55 * n * n
+
+
 class BlockFault(Exception):
     pass
+
+
+def race(monkeypatch, a, b):
+    """inner(a, b) five times with one row per block, so that 16 threads race
+    through the blocks while the interpreter switches threads as often as it can."""
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 1)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return [inner(a, b) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestInnerWorkers:
     """The worker threads of one inner() call are joined before it returns."""
 
-    @pytest.mark.parametrize("bad_row", [3, 190], ids=["caller-run", "last-worker-run"])
-    def test_error_in_a_run_is_raised_and_threads_joined(self, monkeypatch, bad_row):
-        # 200 rows, 10 per block: 20 blocks in runs of 6, 7 and 7 blocks over 3 workers
+    @pytest.mark.parametrize(
+        "bad_row, product",
+        [(3, "cross"), (190, "cross"), (3, "self"), (190, "self")],
+        ids=["caller-run", "last-worker-run", "self-caller-run", "self-last-worker-run"],
+    )
+    def test_error_in_a_run_is_raised_and_threads_joined(self, monkeypatch, bad_row, product):
+        # cross: 200 rows, 10 per block: 20 blocks in runs of 7, 6 and 7 blocks over
+        # 3 workers; self: the triangle of the same 200 rows in 76 blocks of 1 to 5
+        # rows, in runs of 29, 26 and 21 blocks
         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 10 * 50)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
         k = KernelConfig(GAUSSIAN, 0.3)
         a = embed(k, SampleSet(np.arange(200.0)))
-        b = embed(k, SampleSet(np.linspace(0.0, 1.0, 50)))
+        b = a if product == "self" else embed(k, SampleSet(np.linspace(0.0, 1.0, 50)))
 
         def faulty(kc, X, Y, out=None, tmp=None, _kernel_matrix=kernels._kernel_matrix):
             if X[0, 0] <= bad_row <= X[-1, 0]:
@@ -252,24 +332,19 @@ class TestInnerWorkers:
         assert threading.active_count() == before
 
     def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
-        # one row per block, so 16 threads race through 500 blocks while the
-        # interpreter switches threads as often as it can
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 1)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 16)
         a, b = signed_pair(16, GAUSSIAN, 500, 300, 2)
-        want = full_gram_reduction(a, b)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [inner(a, b) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [want] * 5
+        assert race(monkeypatch, a, b) == [full_gram_reduction(a, b)] * 5
+
+    def test_self_product_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        a, _ = signed_pair(16, GAUSSIAN, 500, 300, 2)
+        assert race(monkeypatch, a, a) == [triangle_reference(a)] * 5
 
     @pytest.mark.parametrize(
-        "n, cpus", [(10, 8), (14_000, 1)], ids=["one-block", "one-cpu"]
+        "n, cpus, product",
+        [(10, 8, "cross"), (14_000, 1, "cross"), (10, 8, "self"), (700, 1, "self")],
+        ids=["one-block", "one-cpu", "self-one-block", "self-one-cpu"],
     )
-    def test_starts_no_thread(self, monkeypatch, n, cpus):
+    def test_starts_no_thread(self, monkeypatch, n, cpus, product):
         def no_threads(*args, **kwargs):
             raise AssertionError("started a thread")
 
@@ -277,7 +352,10 @@ class TestInnerWorkers:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
         monkeypatch.setattr(threading, "Thread", no_threads)
         a, b = signed_pair(n, LAPLACE, n, 5, 2)
-        assert inner(a, b) == full_gram_reduction(a, b)
+        if product == "self":
+            assert inner(a, a) == triangle_reference(a)
+        else:
+            assert inner(a, b) == full_gram_reduction(a, b)
 
 
 class TestEmbeddingGram:
@@ -309,6 +387,12 @@ class TestMMD2:
     def test_identity_is_exact_zero(self):
         rng = np.random.default_rng(7)
         a = embed(K_G, gaussian_set(rng, 0.0, 10))
+        assert mmd2(a, a) == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_identity_is_exact_zero_over_several_blocks(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        a, _ = signed_pair(11, LAPLACE, 700, 1, 2)
         assert mmd2(a, a) == 0.0
 
     def test_singleton_closed_form(self):
