@@ -55,7 +55,7 @@ from .regression import (
     fit_one_parameter,
     predict_embedding,
 )
-from .sampler import Basis, FittedMixture, expectation_gap, fit_mixture_weights, sample_mixture
+from .sampler import Basis, FittedMixture, expectation_gap, fit_mixture_weights, sample_from_mixture
 from .simplex_qp import SimplexQPProblem, SimplexQPSolution, project_simplex, solve
 
 __version__ = "0.1.0"

@@ -553,7 +553,14 @@ def rho_from_median(m: float, family: str) -> float:
 
     gaussian: rho = 1 / (2 m^2) with m a Euclidean distance;
     laplace:  rho = 1 / m with m an l1 distance.
+    A median of 0, which holds when at least half of the pairwise
+    distances are zero (not only when every sample is the same), is refused.
     """
+    if m <= 0.0:
+        raise ValueError(
+            "median pairwise distance is zero (at least half of the pairwise distances "
+            "are zero); pass an explicit rho"
+        )
     if family == GAUSSIAN:
         return 1.0 / (2.0 * m * m)
     return 1.0 / m
@@ -569,12 +576,7 @@ def median_heuristic(X: SampleSet, family: str = GAUSSIAN) -> float:
     """
     if len(X) < 2:
         raise ValueError("median heuristic needs at least 2 samples")
-    m = median_pairwise_distance([X.samples], family)
-    if m <= 0.0:
-        raise ValueError(
-            "median pairwise distance is zero (all samples identical); pass an explicit rho"
-        )
-    return rho_from_median(m, family)
+    return rho_from_median(median_pairwise_distance([X.samples], family), family)
 
 
 def combine(embeddings: Sequence[Embedding], coeffs) -> Embedding:

@@ -56,7 +56,7 @@ from .kernels import (
 )
 from .network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from .regression import MixtureEmbeddingModel, TrainingPairs, fit_mixture_embeddings, predict_embedding
-from .sampler import Basis, FittedMixture, fit_mixture_weights, sample_mixture
+from .sampler import Basis, FittedMixture, fit_mixture_weights, sample_from_mixture
 
 __all__ = [
     "DayCounts",
@@ -351,14 +351,6 @@ def _inputs(
     return input_variable_samples([dc for dc in natural_days if dc.day != z.day], z, g, cfg)
 
 
-def _rho_from_pools(pools: Sequence[np.ndarray], family: str) -> float:
-    """Median-heuristic rho over the union of each pool's within-pool pairwise distances."""
-    m = median_pairwise_distance(pools, family)
-    if m <= 0.0:
-        raise ValueError("pooled median distance is zero; pass an explicit rho")
-    return rho_from_median(m, family)
-
-
 def resolve_rho(
     natural_days: Sequence[DayCounts],
     observations: Sequence[PerturbedObservation],
@@ -381,9 +373,9 @@ def resolve_rho(
     pools = []
     for obs in observations:
         x = _inputs(natural_days, obs.disruption, g, cfg)
-        rows, _ = _basis_rows(x[2].samples, obs.disruption, cfg)
-        pools.append(np.vstack([*(s.samples for s in x), obs.exit_vector[None, :], rows]))
-    return _rho_from_pools(pools, cfg.kernel_family)
+        blocks, _ = _basis_rows(x[2].samples, obs.disruption, cfg)
+        pools.append(np.vstack([*(s.samples for s in x), obs.exit_vector[None, :], *blocks]))
+    return rho_from_median(median_pairwise_distance(pools, cfg.kernel_family), cfg.kernel_family)
 
 
 def train(
@@ -421,8 +413,8 @@ def _basis_rows(
     totals: np.ndarray,
     z: Disruption,
     cfg: InterferenceConfig,
-) -> tuple[np.ndarray, list[str]]:
-    """Stacked per-component sample rows of the rescaled-marginal basis."""
+) -> tuple[list[np.ndarray], list[str]]:
+    """Sample rows of each rescaled-marginal basis component, one block per label."""
     n_days, m = totals.shape
     mean_max = float(np.max(np.mean(totals, axis=0)))
     if mean_max <= 0.0:
@@ -438,15 +430,7 @@ def _basis_rows(
             rows[:, j] = lam * totals[:, j]
             blocks.append(rows)
             labels.append(f"r{r}_station{station}")
-    return np.vstack(blocks), labels
-
-
-def _basis(stacked: np.ndarray, labels: Sequence[str], kernel: KernelConfig) -> Basis:
-    n_days = stacked.shape[0] // len(labels)
-    components = [
-        SampleSet(stacked[i * n_days : (i + 1) * n_days]) for i in range(len(labels))
-    ]
-    return Basis.from_components(kernel, components, labels)
+    return blocks, labels
 
 
 def build_basis(
@@ -461,8 +445,8 @@ def build_basis(
     coordinates zero), for r = 1..R with lambda_r = 1 + (r - 1) C and
     C = c * max_j mean-total / (R - 1).
     """
-    stacked, labels = _basis_rows(natural_roi_totals(natural_days, z_new), z_new, cfg)
-    return _basis(stacked, labels, cfg.kernel())
+    blocks, labels = _basis_rows(natural_roi_totals(natural_days, z_new), z_new, cfg)
+    return Basis(cfg.kernel(), [SampleSet(rows) for rows in blocks], labels)
 
 
 def predict(
@@ -480,7 +464,7 @@ def predict(
     kernel = cfg.kernel()
     x = _inputs(natural_days, z_new, g, cfg)
     predicted = predict_embedding(model, [embed(kernel, s) for s in x])
-    basis = _basis(*_basis_rows(x[2].samples, z_new, cfg), kernel)
+    blocks, labels = _basis_rows(x[2].samples, z_new, cfg)
+    basis = Basis(kernel, [SampleSet(rows) for rows in blocks], labels)
     mixture = fit_mixture_weights(predicted, basis)
-    samples = sample_mixture(mixture, n_samples, seed)
-    return mixture, samples
+    return mixture, sample_from_mixture(basis, mixture.theta, n_samples, seed)

@@ -11,7 +11,9 @@ Four model classes over input/output embedding pairs:
   probability simplex, solved as a simplex QP.
 
 All fitting reduces to small Gram systems built from embedding inner
-products. Empirical Gram matrices are often near-singular, so every
+products, and `training_objective` evaluates the fitted misfit on the
+same system through `simplex_qp.misfit`, pairwise-summed without BLAS.
+Empirical Gram matrices are often near-singular, so every
 inversion takes a ridge term; passing ridge=None picks a tiny default
 scaled by the matrix trace, while ridge=0 demands full rank and raises
 otherwise.
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Embedding, KernelConfig, combine, embedding_gram, inner
-from .simplex_qp import SimplexQPProblem, simplex_point, solve
+from .simplex_qp import SimplexQPProblem, misfit, simplex_point, solve
 
 __all__ = [
     "SingularGramError",
@@ -250,4 +252,4 @@ def training_objective(pairs: TrainingPairs, coeffs) -> float:
         raise ValueError(f"expected {pairs.arity} coefficients, got {c.shape[0]}")
     # sum_k <P_k, P_k> - 2 c^T b + c^T G c on the normal equations
     G, b = _normal_equations(pairs)
-    return sum(inner(out, out) for out in pairs.outputs) - 2.0 * float(c @ b) + float(c @ G @ c)
+    return misfit(G, b, c, sum(inner(out, out) for out in pairs.outputs))

@@ -2,9 +2,12 @@
 
 Rather than herding one point at a time, the target embedding is fitted
 once against a basis of sampleable distributions by a simplex QP, and
-draws then come from the fitted mixture. Basis components here are
-empirical sample sets, so drawing from a component means bootstrap
-resampling with replacement.
+draws then come from the fitted mixture (`sample_from_mixture(basis,
+theta, ...)`). Basis components here are empirical sample sets, and a
+`Basis` embeds each one itself, so drawing from a component, bootstrap
+resampling with replacement, draws from the distribution it was fitted
+against. The fit residual is the RKHS misfit `simplex_qp.misfit`, the
+solver's own objective plus <target, target>.
 
 Randomness uses the counter-based Philox generator keyed by the caller's
 seed, so any draw is reproducible from (seed, draw index) alone.
@@ -13,19 +16,17 @@ seed, so any draw is reproducible from (seed, draw index) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import Embedding, KernelConfig, SampleSet, embed, embedding_gram, inner
-from .simplex_qp import SimplexQPProblem, simplex_point, solve
+from .simplex_qp import SimplexQPProblem, misfit, simplex_point, solve
 
 __all__ = [
     "Basis",
     "FittedMixture",
     "fit_mixture_weights",
-    "sample_mixture",
     "sample_from_mixture",
     "expectation_gap",
 ]
@@ -33,46 +34,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Basis:
-    """Sampleable basis: component sample sets, their embeddings, and labels."""
+    """Sampleable basis: component sample sets, their embeddings, and labels.
 
+    Each embedding is `embed(kernel, component)`, built here, so the basis
+    draws from exactly the sample sets it is fitted against. Labels default
+    to c0, c1, ...
+    """
+
+    kernel: KernelConfig
     components: tuple[SampleSet, ...]
-    embeddings: tuple[Embedding, ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None = None
+    embeddings: tuple[Embedding, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple(self.components)
-        embeddings = tuple(self.embeddings)
-        labels = tuple(str(s) for s in self.labels)
-        if not (len(components) == len(embeddings) == len(labels)) or len(components) == 0:
-            raise ValueError("components, embeddings and labels must have equal nonzero length")
-        kernel = embeddings[0].kernel
-        dim = components[0].dim
-        for comp, emb in zip(components, embeddings):
-            if emb.kernel != kernel:
-                raise ValueError("all basis embeddings must share one kernel")
-            if comp.dim != dim or emb.dim != dim:
-                raise ValueError("all basis components must share one dimension")
-            if len(emb.sample_set) != len(comp):
-                raise ValueError("each embedding must be built from its component sample set")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "embeddings", embeddings)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_components(
-        cls,
-        kernel: KernelConfig,
-        components: Sequence[SampleSet],
-        labels: Sequence[str] | None = None,
-    ) -> "Basis":
-        components = tuple(components)
-        if labels is None:
+        if len(components) == 0:
+            raise ValueError("a basis needs at least one component")
+        if self.labels is None:
             labels = tuple(f"c{i}" for i in range(len(components)))
-        return cls(
-            components=components,
-            embeddings=tuple(embed(kernel, c) for c in components),
-            labels=tuple(labels),
-        )
+        else:
+            labels = tuple(str(s) for s in self.labels)
+        if len(labels) != len(components):
+            raise ValueError(f"got {len(labels)} labels for {len(components)} components")
+        if any(c.dim != components[0].dim for c in components):
+            raise ValueError("all basis components must share one dimension")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "embeddings", tuple(embed(self.kernel, c) for c in components))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -80,10 +68,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return self.components[0].dim
-
-    @property
-    def kernel(self) -> KernelConfig:
-        return self.embeddings[0].kernel
 
 
 @dataclass(frozen=True)
@@ -114,10 +98,8 @@ def fit_mixture_weights(target: Embedding, basis: Basis) -> FittedMixture:
     G = embedding_gram(basis.embeddings)
     b = np.array([inner(e, target) for e in basis.embeddings])
     sol = solve(SimplexQPProblem(G=G, b=b))
-    theta = sol.theta
-    quad = float(np.sum(theta * np.sum(G * theta[None, :], axis=1)))
-    res2 = inner(target, target) - 2.0 * float(np.sum(b * theta)) + quad
-    return FittedMixture(basis=basis, theta=theta, fit_residual=math.sqrt(max(res2, 0.0)))
+    res2 = misfit(G, b, sol.theta, inner(target, target))
+    return FittedMixture(basis=basis, theta=sol.theta, fit_residual=math.sqrt(max(res2, 0.0)))
 
 
 def sample_from_mixture(basis: Basis, theta, n: int, seed: int) -> SampleSet:
@@ -139,11 +121,6 @@ def sample_from_mixture(basis: Basis, theta, n: int, seed: int) -> SampleSet:
     j = np.minimum((u[:, 1] * size).astype(np.int64), size - 1)
     stacked = np.vstack([c.samples for c in basis.components])
     return SampleSet(stacked[starts[comp_idx] + j])
-
-
-def sample_mixture(m: FittedMixture, n: int, seed: int) -> SampleSet:
-    """Draw n points from a fitted mixture; deterministic given the seed."""
-    return sample_from_mixture(m.basis, m.theta, n, seed)
 
 
 def expectation_gap(

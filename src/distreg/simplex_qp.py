@@ -19,6 +19,7 @@ __all__ = [
     "SimplexQPProblem",
     "SimplexQPSolution",
     "SimplexQPError",
+    "misfit",
     "project_simplex",
     "simplex_point",
     "solve",
@@ -136,8 +137,14 @@ def _matvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(G * v[None, :], axis=1)
 
 
-def _objective(G: np.ndarray, b: np.ndarray, theta: np.ndarray) -> float:
-    return float(np.sum(theta * _matvec(G, theta)) - 2.0 * np.sum(b * theta))
+def misfit(G: np.ndarray, b: np.ndarray, theta: np.ndarray, pp: float) -> float:
+    """pp - 2 b^T theta + theta^T G theta, every sum pairwise and without BLAS.
+
+    With G the Gram of embeddings mu_i, b_i = <mu_i, P> and pp = <P, P>,
+    this is || P - sum_i theta_i mu_i ||^2; with pp = 0 it is the solver's
+    objective.
+    """
+    return pp - 2.0 * float(np.sum(b * theta)) + float(np.sum(theta * _matvec(G, theta)))
 
 
 def _lambda_max_power(G: np.ndarray, iterations: int = 100) -> float:
@@ -179,7 +186,7 @@ def solve(p: SimplexQPProblem, tol: float = 1e-10, max_iter: int = 50000) -> Sim
         return project_simplex(v - (2.0 * _matvec(G, v) - 2.0 * b) / L)
 
     theta = np.full(n, 1.0 / n)
-    obj = _objective(G, b, theta)
+    obj = misfit(G, b, theta, 0.0)
     y = theta
     t = 1.0
     converged = False
@@ -187,12 +194,12 @@ def solve(p: SimplexQPProblem, tol: float = 1e-10, max_iter: int = 50000) -> Sim
     for it in range(1, max_iter + 1):
         base = y
         theta_new = step(base)
-        obj_new = _objective(G, b, theta_new)
+        obj_new = misfit(G, b, theta_new, 0.0)
         if obj_new > obj + _RESTART_SLACK * (1.0 + abs(obj)) and base is not theta:
             # restart: the momentum step went uphill, take the plain step instead
             base = theta
             theta_new = step(base)
-            obj_new = _objective(G, b, theta_new)
+            obj_new = misfit(G, b, theta_new, 0.0)
             t = 1.0
         if __debug__:
             assert obj_new <= obj + 1e-9 * (1.0 + abs(obj)), (

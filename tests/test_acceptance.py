@@ -41,7 +41,7 @@ from distreg.regression import (
     fit_nonparametric,
     fit_one_parameter,
 )
-from distreg.sampler import Basis, expectation_gap, fit_mixture_weights, sample_mixture
+from distreg.sampler import Basis, expectation_gap, fit_mixture_weights, sample_from_mixture
 from distreg.simplex_qp import SimplexQPProblem, solve
 
 from util import dataset_days, gaussian_set, mixture_set, projected_operator_error
@@ -139,13 +139,13 @@ def test_criterion_4_sampling_consistency():
         gaps = []
         for seed in range(20):
             rng = np.random.default_rng(30000 + seed)
-            basis = Basis.from_components(
+            basis = Basis(
                 K, [gaussian_set(rng, 0.0, n), gaussian_set(rng, 4.0, n)]
             )
             target_emb = combine(list(basis.embeddings), theta_bar)
             fm = fit_mixture_weights(target_emb, basis)
             target_samples = mixture_set(rng, [0.0, 4.0], [0.4, 0.6], n)
-            draws = sample_mixture(fm, n, seed=40000 + seed)
+            draws = sample_from_mixture(fm.basis, fm.theta, n, seed=40000 + seed)
             gaps.append(
                 float(
                     np.mean(

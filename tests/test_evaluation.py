@@ -278,7 +278,7 @@ class TestBaselineAndRandomModels:
         rng = np.random.default_rng(5)
         k = KernelConfig(GAUSSIAN, 0.5)
         comp = gaussian_set(rng, 0.0, 30)
-        basis = Basis.from_components(k, [comp])
+        basis = Basis(k, [comp])
         out = random_model(basis, seed=9, n=50)
         allowed = set(map(float, comp.samples[:, 0]))
         assert all(float(v) in allowed for v in out.samples[:, 0])
@@ -286,7 +286,7 @@ class TestBaselineAndRandomModels:
     def test_random_model_deterministic(self):
         rng = np.random.default_rng(6)
         k = KernelConfig(GAUSSIAN, 0.5)
-        basis = Basis.from_components(k, [gaussian_set(rng, m, 20) for m in (0.0, 5.0)])
+        basis = Basis(k, [gaussian_set(rng, m, 20) for m in (0.0, 5.0)])
         a = random_model(basis, seed=3, n=40)
         b = random_model(basis, seed=3, n=40)
         assert np.array_equal(a.samples, b.samples)

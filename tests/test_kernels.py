@@ -34,7 +34,6 @@ from distreg.kernels import (
     pairwise_distances,
     rho_from_median,
 )
-from distreg.pipeline import _rho_from_pools
 
 from util import gaussian_set, reference_median, reference_rho
 
@@ -501,6 +500,9 @@ def ex(*rows_per_pool):
     return [np.array(rows, dtype=np.float64) for rows in rows_per_pool]
 
 
+ZERO_MEDIAN = r"median pairwise distance is zero \(at least half of the pairwise distances are zero\)"
+
+
 class TestMedianPairwiseDistance:
     """The distinct-row weighted median against every distance and np.median, compared with ==."""
 
@@ -516,6 +518,7 @@ class TestMedianPairwiseDistance:
     )
     @example(pools=ex([[0.3, 0.3]] * 5), family=GAUSSIAN)  # all identical
     @example(pools=ex([[0.3]] * 4, [[1.0], [2.0], [1.0]]), family=LAPLACE)  # median zero
+    @example(pools=ex([[0.3]] * 4 + [[1.0]]), family=GAUSSIAN)  # median zero, samples differ
     def test_matches_concatenated_median(self, pools, family):
         want = reference_median(pools, family)
         m = median_pairwise_distance(pools, family)
@@ -523,16 +526,15 @@ class TestMedianPairwiseDistance:
         if want > 0.0:
             rho = reference_rho(want, family)
             assert rho_from_median(m, family) == rho
-            assert _rho_from_pools(pools, family) == rho
         else:
-            with pytest.raises(ValueError, match="pooled median distance is zero; pass an explicit"):
-                _rho_from_pools(pools, family)
+            with pytest.raises(ValueError, match=ZERO_MEDIAN):
+                rho_from_median(m, family)
         if len(pools) == 1:
             X = SampleSet(pools[0])
             if want > 0.0:
                 assert median_heuristic(X, family) == rho
             else:
-                with pytest.raises(ValueError, match=r"median pairwise distance is zero \(all samples"):
+                with pytest.raises(ValueError, match=ZERO_MEDIAN):
                     median_heuristic(X, family)
 
     def test_one_distance_call_per_pool_on_distinct_rows(self, monkeypatch):

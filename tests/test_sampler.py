@@ -18,7 +18,6 @@ from distreg.sampler import (
     expectation_gap,
     fit_mixture_weights,
     sample_from_mixture,
-    sample_mixture,
 )
 
 from util import gaussian_set
@@ -27,7 +26,7 @@ K = KernelConfig(GAUSSIAN, 0.5)
 
 
 def two_component_basis(rng, n=300, means=(0.0, 4.0)):
-    return Basis.from_components(K, [gaussian_set(rng, m, n) for m in means])
+    return Basis(K, [gaussian_set(rng, m, n) for m in means])
 
 
 class TestBasis:
@@ -39,17 +38,32 @@ class TestBasis:
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(1)
-        c = gaussian_set(rng, 0.0, 5)
-        with pytest.raises(ValueError, match="length"):
-            Basis(components=(c,), embeddings=(), labels=())
-
-    def test_kernel_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
         c1, c2 = gaussian_set(rng, 0.0, 5), gaussian_set(rng, 1.0, 5)
-        e1 = embed(K, c1)
-        e2 = embed(KernelConfig(GAUSSIAN, 0.9), c2)
-        with pytest.raises(ValueError, match="kernel"):
-            Basis(components=(c1, c2), embeddings=(e1, e2), labels=("a", "b"))
+        with pytest.raises(ValueError, match="got 1 labels for 2 components"):
+            Basis(K, (c1, c2), labels=("a",))
+        with pytest.raises(ValueError, match="at least one component"):
+            Basis(K, ())
+
+    def test_mixed_dimensions_rejected(self):
+        rng = np.random.default_rng(2)
+        c1, c2 = gaussian_set(rng, 0.0, 5), gaussian_set(rng, 1.0, 5, dim=2)
+        with pytest.raises(ValueError, match="one dimension"):
+            Basis(K, (c1, c2))
+
+    def test_embeddings_are_built_from_the_components(self):
+        # an embedding of any other set (say 9s) would let a 9s target fit with a
+        # near-zero residual while the draws came from the zeros
+        zeros, other = SampleSet(np.zeros((5, 1))), gaussian_set(np.random.default_rng(3), 4.0, 7)
+        basis = Basis(K, [zeros, other], labels=["zeros", "other"])
+        assert basis.kernel == K and basis.labels == ("zeros", "other")
+        for comp, emb in zip(basis.components, basis.embeddings):
+            assert emb.sample_set is comp
+            assert emb.kernel == K
+            assert np.array_equal(emb.weights, np.full(len(comp), 1.0 / len(comp)))
+        assert basis.components[0] is zeros and basis.components[1] is other
+        nines = SampleSet(np.full((5, 1), 9.0))
+        fm = fit_mixture_weights(embed(K, nines), basis)
+        assert fm.fit_residual > 0.5
 
 
 class TestFitMixtureWeights:
@@ -93,7 +107,7 @@ class TestFitMixtureWeights:
     def test_theta_always_feasible(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            basis = Basis.from_components(
+            basis = Basis(
                 K, [gaussian_set(rng, m, 50) for m in rng.normal(scale=4, size=4)]
             )
             target = embed(K, gaussian_set(rng, rng.normal(scale=4), 50))
@@ -108,18 +122,18 @@ class TestSampleMixture:
         rng = np.random.default_rng(9)
         basis = two_component_basis(rng, n=40)
         fm = FittedMixture(basis=basis, theta=np.array([1.0, 0.0]), fit_residual=0.0)
-        out = sample_mixture(fm, 200, seed=11)
+        out = sample_from_mixture(fm.basis, fm.theta, 200, seed=11)
         comp0 = set(map(float, basis.components[0].samples[:, 0]))
         assert all(float(v) in comp0 for v in out.samples[:, 0])
 
     def test_component_fraction_concentrates(self):
         # binomial concentration at n=10000, fixed seed
         rng = np.random.default_rng(10)
-        basis = Basis.from_components(
+        basis = Basis(
             K, [gaussian_set(rng, 0.0, 50), gaussian_set(rng, 100.0, 50)]
         )
         fm = FittedMixture(basis=basis, theta=np.array([0.3, 0.7]), fit_residual=0.0)
-        out = sample_mixture(fm, 10000, seed=12)
+        out = sample_from_mixture(fm.basis, fm.theta, 10000, seed=12)
         frac0 = float(np.mean(out.samples[:, 0] < 50.0))
         assert abs(frac0 - 0.3) <= 0.02
 
@@ -127,9 +141,9 @@ class TestSampleMixture:
         rng = np.random.default_rng(11)
         basis = two_component_basis(rng, n=30)
         fm = FittedMixture(basis=basis, theta=np.array([0.4, 0.6]), fit_residual=0.0)
-        a = sample_mixture(fm, 100, seed=5)
-        b = sample_mixture(fm, 100, seed=5)
-        c = sample_mixture(fm, 100, seed=6)
+        a = sample_from_mixture(fm.basis, fm.theta, 100, seed=5)
+        b = sample_from_mixture(fm.basis, fm.theta, 100, seed=5)
+        c = sample_from_mixture(fm.basis, fm.theta, 100, seed=6)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -142,7 +156,7 @@ class TestSampleMixture:
         exact = combine(list(basis.embeddings), theta)
         gaps = []
         for n in (100, 400, 1600):
-            draws = sample_mixture(fm, n, seed=13)
+            draws = sample_from_mixture(fm.basis, fm.theta, n, seed=13)
             gaps.append(mmd2(embed(K, draws), exact))
         assert gaps[2] < gaps[0]
 
@@ -163,7 +177,7 @@ class TestSampleMixture:
         for trial in range(20):
             dim = int(rng.integers(1, 4))
             sizes = rng.integers(1, 30, size=int(rng.integers(1, 7)))
-            basis = Basis.from_components(
+            basis = Basis(
                 K, [SampleSet(rng.normal(size=(int(m), dim))) for m in sizes]
             )
             theta = rng.random(len(basis)) * (rng.random(len(basis)) < 0.7)
@@ -177,7 +191,7 @@ class TestSampleMixture:
         basis = two_component_basis(rng, n=10)
         fm = FittedMixture(basis=basis, theta=np.array([0.5, 0.5]), fit_residual=0.0)
         with pytest.raises(ValueError, match="n >= 1"):
-            sample_mixture(fm, 0, seed=1)
+            sample_from_mixture(fm.basis, fm.theta, 0, seed=1)
 
 
 def random_rkhs_function(rng, kernel, n_atoms=10, scale=3.0):
@@ -206,7 +220,7 @@ class TestExpectationGap:
         target_samples = gaussian_set(rng, 20.0, 2000)
         fm = fit_mixture_weights(embed(K, target_samples), basis)
         assert fm.fit_residual > 0.5
-        draws = sample_mixture(fm, 2000, seed=16)
+        draws = sample_from_mixture(fm.basis, fm.theta, 2000, seed=16)
         from distreg.kernels import Embedding
 
         f_near = Embedding(
@@ -222,7 +236,7 @@ class TestExpectationGap:
         target_emp = SampleSet(target_truth.samples[:400])
         t_emb = embed(K, SampleSet(target_emp.samples))
         fm = fit_mixture_weights(t_emb, basis)
-        draws = sample_mixture(fm, 400, seed=18)
+        draws = sample_from_mixture(fm.basis, fm.theta, 400, seed=18)
         mixture_exact = combine(list(basis.embeddings), fm.theta)
         for seed in range(5):
             f = random_rkhs_function(np.random.default_rng(100 + seed), K)

@@ -73,7 +73,7 @@ class TestProjectSimplex:
             project_simplex([np.nan, 0.0])
 
 
-BASIS2 = Basis.from_components(
+BASIS2 = Basis(
     KernelConfig("gaussian", 1.0), [SampleSet(np.array([[0.0]])), SampleSet(np.array([[1.0]]))]
 )
 # the three holders of a point on the simplex, each built from a 2-vector
