@@ -34,7 +34,6 @@ from .pipeline import (
     DayCounts,
     InterferenceConfig,
     PerturbedObservation,
-    aggregate_columns,
     build_basis,
     input_variable_samples,
     predict,

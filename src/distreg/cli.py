@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: simulate, score, train, predict, evaluate, oracle.
-Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/validation error (an allocation too large
+for memory included), 3 numerical failure.
 Every command is deterministic given identical inputs and seeds, and no
 command writes into its input directory.
 """
@@ -303,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SimplexQPError, SingularGramError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -10,7 +10,8 @@ rescaling of the natural one and recovery can be tested sharply.
 A day's journeys have one form throughout: an int64 (rows, 4) array with
 columns origin, destination, t_entry, t_exit. The generator builds it,
 `write_dataset` writes it as `journeys_day<N>.csv`, `load_journeys` reads
-it back, and `pipeline.aggregate_columns` counts it into `DayCounts`.
+it back and checks every row in one vectorised pass, and `load_dataset`
+counts each day into a `pipeline.DayCounts`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
-from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, aggregate_columns, seed_error
+from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, seed_error
 
 __all__ = [
     "SyntheticScenario",
@@ -122,7 +123,7 @@ class GroundTruthRecord:
     scale: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """A generated dataset; each day's journeys are an int64 (rows, 4) array
     of origin, destination, t_entry, t_exit (the layout of `load_journeys`)."""
@@ -134,7 +135,7 @@ class SyntheticDataset:
     t_window: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetBundle:
     """Loaded on-disk dataset, with journeys aggregated per day."""
 
@@ -372,9 +373,9 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
     """Read one journeys CSV: per day, an int64 (rows, 4) array in file order.
 
     The columns are origin, destination, t_entry, t_exit; the day comes
-    from a `day` column or else the filename's last number. Each row is
-    validated as it is read, and the first bad row is named by file and
-    line; station ids must also be below `n_nodes` when it is given.
+    from a `day` column or else the filename's last number. The rows are
+    parsed as they are read, then checked in one pass (`_check_journeys`);
+    the first bad row is named by file and line.
     """
     path = Path(path)
     with _open_csv(path, _JOURNEY_FIELDS) as (header, reader):
@@ -387,26 +388,47 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
         names = ("day", *_JOURNEY_FIELDS) if has_day else _JOURNEY_FIELDS
         column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
         idx = [column[name] for name in names]
-        limit = math.inf if n_nodes is None else n_nodes
         rows: list[list[int]] = []
+        lines: list[int] = []
         for row in reader:
             if not row:
                 continue
             try:
-                values = [int(row[i]) for i in idx]
+                rows.append([int(row[i]) for i in idx])
             except (ValueError, IndexError):  # name the first bad field (a short row's are blank)
+                _check_journeys(path, rows, lines, n_nodes, len(names))  # an earlier fault first
                 where, by_name = f"{path.name} line {reader.line_num}", dict(zip(header, row))
-                values = [_int_field(by_name, name, where) for name in names]
-            o, d, te, tx = values[-4:]
-            if o < 0 or d < 0 or te < 0 or tx < te or o >= limit or d >= limit:
-                raise _bad_journey(o, d, te, tx, n_nodes, f"{path.name} line {reader.line_num}")
-            rows.append(values)
-    table = np.array(rows, dtype=np.int64).reshape(-1, len(names))
+                rows.append([_int_field(by_name, name, where) for name in names])
+            lines.append(reader.line_num)
+    table = _check_journeys(path, rows, lines, n_nodes, len(names)).astype(np.int64, copy=False)
     cols = table[:, -4:]
     if not has_day:
         return {day_from_name: cols} if len(cols) else {}
     day_col = table[:, 0]
     return {day: cols[day_col == day] for day in dict.fromkeys(day_col.tolist())}
+
+
+def _check_journeys(
+    path: Path, rows: list[list[int]], lines: list[int], n_nodes: int | None, width: int
+) -> np.ndarray:
+    """The parsed rows as a (rows, width) table, once every row passes the journey checks.
+
+    A row is refused for a negative id or time, t_exit before t_entry, or
+    a station id not below `n_nodes` (when given); the first such row is
+    named by its file line, `lines[k]` for `rows[k]`.
+    """
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:  # check as Python ints; the caller's int64 cast refuses what passes
+        table = np.array(rows, dtype=object).reshape(-1, width)
+    o, d, te, tx = table[:, -4:].T
+    bad = (o < 0) | (d < 0) | (te < 0) | (tx < te)
+    if n_nodes is not None:
+        bad |= (o >= n_nodes) | (d >= n_nodes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _bad_journey(*table[k, -4:].tolist(), n_nodes, f"{path.name} line {lines[k]}")
+    return table
 
 
 def _bad_journey(o: int, d: int, te: int, tx: int, n_nodes: int | None, where: str) -> ValueError:
@@ -521,7 +543,7 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
     )
     t_window = (0, t_hi)
     days = {
-        day: aggregate_columns(day, *cols.T, n_nodes=graph.n_nodes, t_window=t_window)
+        day: DayCounts(day=day, origin=cols[:, 0], destination=cols[:, 1], t_exit=cols[:, 3])
         for day, cols in sorted(journeys.items())
     }
     for z in disruptions:

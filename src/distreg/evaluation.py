@@ -167,10 +167,24 @@ def kde_log_density(samples, h, y) -> np.ndarray:
     n = arr.shape[0]
     out = np.empty(arr.shape[1])
     for j in range(arr.shape[1]):
-        a = -hv[j] * (yv[j] - arr[:, j]) ** 2
-        m = float(np.max(a))
-        out[j] = m + math.log(float(np.sum(np.exp(a - m)))) + 0.5 * math.log(hv[j] / math.pi) - math.log(n)
+        (m,), (total,) = _shifted_kernel_sums(arr[:, j], hv[j], yv[j : j + 1])
+        out[j] = m + math.log(float(total)) + 0.5 * math.log(hv[j] / math.pi) - math.log(n)
     return out
+
+
+def _shifted_kernel_sums(col: np.ndarray, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each point y_g: m_g = max_i a_gi and sum_i exp(a_gi - m_g), a_gi = -h (y_g - col_i)^2.
+
+    One (points, samples) buffer, updated in place; each row is summed
+    pairwise, so a point's sums do not depend on the other points.
+    """
+    a = y[:, None] - col[None, :]
+    np.square(a, out=a)
+    np.multiply(a, -h, out=a)
+    m = np.max(a, axis=1)
+    np.subtract(a, m[:, None], out=a)
+    np.exp(a, out=a)
+    return m, np.sum(a, axis=1)
 
 
 def nll(model_samples, observed, h) -> float:
@@ -351,14 +365,7 @@ def run_evaluation(
 
 def _marginal_density(col: np.ndarray, h: float, y_grid: np.ndarray) -> np.ndarray:
     """KDE of one sample coordinate with precision h, on a grid."""
-    # one (grid, samples) buffer, updated in place: -h * (y - s)^2, then exp(a - max)
-    a = y_grid[:, None] - col[None, :]
-    np.square(a, out=a)
-    np.multiply(a, -h, out=a)
-    m = np.max(a, axis=1)
-    np.subtract(a, m[:, None], out=a)
-    np.exp(a, out=a)
-    sums = np.sum(a, axis=1)
+    m, sums = _shifted_kernel_sums(col, h, y_grid)
     scale = math.sqrt(h / math.pi)
     n = col.shape[0]
     # the per-point tail stays in scalar math, in this order, so every

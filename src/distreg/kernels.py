@@ -75,7 +75,7 @@ class KernelConfig:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """A finite set of D-dimensional real vectors from one distribution.
 
@@ -105,7 +105,7 @@ class SampleSet:
         return int(self.samples.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Empirical mean embedding sum_i weights[i] * k(samples[i], .).
 

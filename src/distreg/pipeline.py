@@ -27,10 +27,9 @@ the disruptions it needs from the natural days other than the
 disruption's own, and takes the basis rows from X3, the natural ROI
 window totals.
 
-Journeys arrive as a day's int64 columns origin, destination, t_entry,
-t_exit (the layout the generator and `data_io.load_journeys` produce), and
-`aggregate_columns` validates them and counts them into `DayCounts`.
-Exit-count tensors stay sparse: a day is four int64 columns (origin,
+A day's journeys arrive as `DayCounts`, counted from the int64 columns
+origin, destination and t_exit that `data_io.load_journeys` reads and
+checks. Exit-count tensors stay sparse: a day is four int64 columns (origin,
 destination, exit minute, count) with one row per distinct key, never a
 dense array. Every feature is a window sum over those columns, taken by
 one vectorised scan (`_window_scan`) and binned into (day, ROI station)
@@ -62,7 +61,6 @@ __all__ = [
     "DayCounts",
     "InterferenceConfig",
     "PerturbedObservation",
-    "aggregate_columns",
     "roi_exit_vector",
     "natural_pool",
     "natural_roi_totals",
@@ -199,7 +197,7 @@ class InterferenceConfig:
         return replace(self, rho=float(rho))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedObservation:
     """A disruption together with its observed ROI exit vector (a single realization)."""
 
@@ -220,38 +218,6 @@ class PerturbedObservation:
     @classmethod
     def from_day_counts(cls, dc: DayCounts, z: Disruption) -> "PerturbedObservation":
         return cls(disruption=z, exit_vector=roi_exit_vector(dc, z))
-
-
-def aggregate_columns(
-    day: int,
-    origin: np.ndarray,
-    destination: np.ndarray,
-    t_entry: np.ndarray,
-    t_exit: np.ndarray,
-    n_nodes: int,
-    t_window: tuple[int, int],
-) -> DayCounts:
-    """Count journeys given as columns by (origin, destination, exit minute).
-
-    Every row is validated; the first offending row (0-based) is named.
-    """
-    o, d, te, tx = (
-        np.asarray(a, dtype=np.int64).reshape(-1) for a in (origin, destination, t_entry, t_exit)
-    )
-    t_min, t_max = t_window
-    bad_station = (o < 0) | (o >= n_nodes) | (d < 0) | (d >= n_nodes)
-    bad_time = (te < t_min) | (te > tx) | (tx > t_max)
-    bad = np.flatnonzero(bad_station | bad_time)
-    if bad.size:
-        i = int(bad[0])
-        if bad_station[i]:
-            raise ValueError(
-                f"row {i}: station ids ({o[i]}, {d[i]}) out of range for {n_nodes} nodes"
-            )
-        raise ValueError(
-            f"row {i}: times ({te[i]}, {tx[i]}) outside window [{t_min}, {t_max}]"
-        )
-    return DayCounts(day=day, origin=o, destination=d, t_exit=tx)
 
 
 def _window_scan(

@@ -50,7 +50,7 @@ class SingularGramError(np.linalg.LinAlgError):
     """Gram system is rank deficient and no ridge was allowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingPairs:
     """K input tuples (each of I embeddings) matched with K output embeddings.
 
@@ -101,7 +101,7 @@ class TrainingPairs:
         return self.outputs[0].kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonParametricOperator:
     """Fitted unrestricted operator; coeff is the inverse regularized input Gram."""
 
@@ -116,7 +116,7 @@ class OneParameterModel:
     alpha: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureEmbeddingModel:
     alpha: np.ndarray
 
@@ -132,7 +132,7 @@ class MixtureEmbeddingModel:
         return int(self.alpha.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDistributionModel:
     w: np.ndarray
 

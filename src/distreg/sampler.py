@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Sampleable basis: component sample sets, their embeddings, and labels.
 
@@ -70,7 +70,7 @@ class Basis:
         return self.components[0].dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedMixture:
     """Simplex weights over a basis plus the RKHS misfit of the target."""
 

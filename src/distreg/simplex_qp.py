@@ -44,7 +44,7 @@ class SimplexQPError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexQPProblem:
     """Quadratic form data: G symmetric PSD (n, n), b an n-vector.
 
@@ -83,7 +83,7 @@ class SimplexQPProblem:
         return int(self.b.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexQPSolution:
     theta: np.ndarray
     objective: float

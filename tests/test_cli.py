@@ -579,6 +579,22 @@ class TestMalformedInput:
         assert rc == 2 and "--n-samples: must be at least 1, got 0" in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_n_samples_beyond_memory(self, trained, tmp_path, capsys, command):
+        # 2**56 draws of even one float64 coordinate are 512 PiB, more than an
+        # x86-64 address space holds, so the allocation fails at once
+        data, model = trained
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = predict_args(data, model, out)
+            argv[argv.index("--n-samples") + 1] = str(2**56)
+        else:
+            argv = ["evaluate", "--data", str(data), "--out", str(out), "--folds", "2"]
+            argv += ["--n-samples", str(2**56)]
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert err.startswith("error: Unable to allocate") and not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

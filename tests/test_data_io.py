@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from distreg.data_io import (
     write_dataset,
 )
 from distreg.network import Disruption
-from distreg.pipeline import DayCounts, InterferenceConfig, aggregate_columns, roi_exit_vector
+from distreg.pipeline import DayCounts, InterferenceConfig, roi_exit_vector
 from util import dataset_days
 
 
@@ -42,6 +43,35 @@ def as_lists(journeys):
     for cols in journeys.values():
         assert cols.dtype == np.int64 and cols.ndim == 2 and cols.shape[1] == 4
     return {day: cols.tolist() for day, cols in journeys.items()}
+
+
+JOURNEYS_HEADER = "origin,destination,t_entry,t_exit\n"
+
+# journey row that breaks one rule (for 5 nodes) -> the message that names it
+ROW_FAULTS = {
+    "negative": ("1,-2,5,6", "negative id or time"),
+    "reversed": ("1,2,9,3", "t_exit 3 earlier than t_entry 9"),
+    "out-of-range": ("1,5,5,6", "station ids (1, 5) out of range for 5 nodes"),
+    # values beyond int64 are checked too
+    "negative-beyond-int64": (f"{-10**30},2,5,6", "negative id or time"),
+    "reversed-beyond-int64": (f"1,2,{10**30},6", f"t_exit 6 earlier than t_entry {10**30}"),
+    "out-of-range-beyond-int64": (
+        f"1,{10**30},5,6", f"station ids (1, {10**30}) out of range for 5 nodes"
+    ),
+}
+
+# a file with the faulty row at {row} -> its name and the faulty row's line
+FAULT_LAYOUTS = {
+    "after-blank-lines": (
+        "journeys_day0.csv", JOURNEYS_HEADER + "1,2,5,6\n\n\n{row}\n2,3,0,1\n", 5
+    ),
+    "second-day-of-day-column": (
+        "journeys.csv",
+        "day," + JOURNEYS_HEADER + "0,1,2,5,6\n\n0,2,3,1,2\n1,1,2,5,6\n\n1,{row}\n0,0,1,2,3\n",
+        7,
+    ),
+    "before-bad-integer": ("journeys_day0.csv", JOURNEYS_HEADER + "1,2,5,6\n{row}\n1,x,5,6\n", 3),
+}
 
 
 class TestLoadJourneys:
@@ -112,6 +142,15 @@ class TestLoadJourneys:
         p = write(tmp_path / "journeys.csv", "origin,destination,t_entry,t_exit\n1,2,5,6\n")
         with pytest.raises(ValueError, match="day"):
             load_journeys(p)
+
+    @pytest.mark.parametrize("layout", sorted(FAULT_LAYOUTS))
+    @pytest.mark.parametrize("case", sorted(ROW_FAULTS))
+    def test_first_fault_named_by_its_file_line(self, tmp_path, case, layout):
+        row, message = ROW_FAULTS[case]
+        name, text, line = FAULT_LAYOUTS[layout]
+        p = write(tmp_path / name, text.format(row=row))
+        with pytest.raises(ValueError, match=f"^{name} line {line}: {re.escape(message)}$"):
+            load_journeys(p, n_nodes=5)
 
 
 class TestLoadDisruptions:
@@ -517,9 +556,7 @@ class TestRoundTrip:
         write_dataset(ds, tmp_path)
         bundle = load_dataset(tmp_path)
         for day, cols in ds.journeys.items():
-            want = aggregate_columns(
-                day, *cols.T, n_nodes=SCENARIO.n_nodes, t_window=bundle.t_window
-            )
+            want = DayCounts(day=day, origin=cols[:, 0], destination=cols[:, 1], t_exit=cols[:, 3])
             got = bundle.days[day]
             assert got.day == day
             for name in ("origin", "destination", "t_exit", "count"):

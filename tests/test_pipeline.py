@@ -11,7 +11,6 @@ from distreg.pipeline import (
     DayCounts,
     InterferenceConfig,
     PerturbedObservation,
-    aggregate_columns,
     build_basis,
     input_variable_samples,
     natural_roi_totals,
@@ -25,7 +24,6 @@ from util import compositions, reference_median, reference_rho
 
 # 5 nodes, two routes between 0 and 2 (0-1-2 and 0-3-4-2)
 G5 = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
-WINDOW = (0, 100)
 
 
 def day_counts(day, quads):
@@ -65,13 +63,13 @@ CFG = InterferenceConfig()
 
 
 def aggregate(rows):
-    """aggregate_columns over day 0's (origin, destination, t_entry, t_exit) rows."""
+    """Day 0's (origin, destination, t_entry, t_exit) rows counted as `load_dataset` does."""
     cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    return aggregate_columns(0, *cols.T, n_nodes=5, t_window=WINDOW)
+    return DayCounts(day=0, origin=cols[:, 0], destination=cols[:, 1], t_exit=cols[:, 3])
 
 
 class TestAggregateDay:
-    """aggregate_columns on one day's journey columns."""
+    """DayCounts over one day's journey columns."""
 
     def test_empty(self):
         dc = aggregate([])
@@ -84,12 +82,6 @@ class TestAggregateDay:
     def test_total_matches_row_count(self):
         dc = aggregate([(0, 1, 5, 10), (0, 1, 5, 10), (2, 3, 0, 7), (4, 0, 1, 99), (1, 1, 2, 2)])
         assert dc.total == 5
-
-    def test_errors_name_offending_row(self):
-        with pytest.raises(ValueError, match="row 1"):
-            aggregate([(0, 1, 5, 10), (0, 7, 5, 10)])
-        with pytest.raises(ValueError, match="row 0"):
-            aggregate([(0, 1, 5, 200)])
 
 
 class TestDayCounts:

@@ -5,21 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from distreg import (
-    GAUSSIAN,
-    DayCounts,
-    KernelConfig,
-    SampleSet,
-    aggregate_columns,
-    embed,
-)
+from distreg import GAUSSIAN, DayCounts, KernelConfig, SampleSet, embed
 from distreg.kernels import pairwise_distances, subsample_rows
 
 
 def dataset_days(ds) -> dict[int, DayCounts]:
     """A generated dataset's journey columns aggregated per day, as `load_dataset` does."""
     return {
-        day: aggregate_columns(day, *cols.T, n_nodes=ds.graph.n_nodes, t_window=ds.t_window)
+        day: DayCounts(day=day, origin=cols[:, 0], destination=cols[:, 1], t_exit=cols[:, 3])
         for day, cols in ds.journeys.items()
     }
 
