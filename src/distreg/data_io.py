@@ -180,18 +180,115 @@ def _natural_day_journeys(
     counts = rng.poisson(rates)
     origins, destinations = np.nonzero(counts)  # row-major, matching draw order
     per_pair = counts[origins, destinations]
-    # one scalar (t_exit, t_entry <= t_exit) pair per journey, in row order: a
-    # batched draw would shift the stream, since a zero-range call draws nothing
-    integers = rng.integers
-    times = []
-    for _ in range(int(per_pair.sum())):
-        t_exit = int(integers(t_min, t_max + 1))
-        times.append((int(integers(t_min, t_exit + 1)), t_exit))
+    # one (t_exit, t_entry <= t_exit) scalar draw pair per journey, in row order,
+    # read off the generator's words in one pass (see `_journey_times`)
+    times = _journey_times(rng, int(per_pair.sum()), t_min, t_max)
     journeys = np.empty((len(times), 4), dtype=np.int64)
     journeys[:, 0] = np.repeat(origins, per_pair)
     journeys[:, 1] = np.repeat(destinations, per_pair)
-    journeys[:, 2:] = np.array(times, dtype=np.int64).reshape(-1, 2)
+    journeys[:, 2:] = times
     return journeys
+
+
+# widest t_exit range (t_max - t_min + 1 values) drawn from the generator's
+# words in one pass; a wider one redraws too often, so it is drawn call by call
+_WORD_RANGE = 1 << 16
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _journey_times(rng: np.random.Generator, count: int, t_min: int, t_max: int) -> np.ndarray:
+    """(count, 2) int64 table of (t_entry, t_exit), drawn as `_scalar_journey_times` draws it.
+
+    Each journey is the scalar pair t_exit = rng.integers(t_min, t_max + 1),
+    then t_entry = rng.integers(t_min, t_exit + 1), in row order. This
+    reproduces that stream, and leaves `rng` in the state it would, for
+    the PCG64 generator of `np.random.default_rng`: for a range
+    r < 2**32 - 1, numpy takes 32-bit words of its bit generator (the
+    low half of a 64-bit draw, then the buffered high half) and maps a word
+    w to (w * (r + 1)) >> 32, drawing again while the low 32 bits of the
+    product are below (2**32 - (r + 1)) % (r + 1) (Lemire 2019). A zero
+    range draws no word, so a journey with t_exit == t_min takes one word
+    and any other two; the journeys' first words follow from that rule
+    without a look-ahead. The words up to the first journey that would
+    draw again are read in one vectorised pass; that journey is drawn
+    call by call, and the pass resumes after it. A range of `_WORD_RANGE`
+    values or more is drawn call by call throughout, and so is a t_max
+    beyond int64, which numpy refuses with its own message.
+    """
+    if t_max - t_min >= _WORD_RANGE or t_max >= 2**63:
+        return _scalar_journey_times(rng, count, t_min, t_max)
+    times = np.full((count, 2), t_min, dtype=np.int64)
+    done = 0 if t_max > t_min else count  # a zero range draws nothing
+    while done < count:
+        done += _journey_words_pass(rng, times[done:], t_min, t_max - t_min)
+        if done < count:
+            times[done] = _scalar_journey_times(rng, 1, t_min, t_max)
+            done += 1
+    return times
+
+
+def _scalar_journey_times(
+    rng: np.random.Generator, count: int, t_min: int, t_max: int
+) -> np.ndarray:
+    """(count, 2) int64 table of one scalar (t_exit, t_entry <= t_exit) draw pair per row."""
+    integers = rng.integers
+    times = []
+    for _ in range(count):
+        t_exit = int(integers(t_min, t_max + 1))
+        times.append((int(integers(t_min, t_exit + 1)), t_exit))
+    return np.array(times, dtype=np.int64).reshape(-1, 2)
+
+
+def _journey_words_pass(rng: np.random.Generator, times: np.ndarray, t_min: int, r: int) -> int:
+    """Fill the leading rows of `times` from the generator's 32-bit words, up to
+    the first journey whose draw would be redone; return how many were filled.
+
+    `rng` is left as the scalar draws of those journeys would leave it.
+    """
+    bit_gen = rng.bit_generator
+    saved = bit_gen.state
+    pending = saved["has_uint32"]
+    n_raw = len(times)  # two words per journey at most, one of them maybe the pending half
+    raw = bit_gen.random_raw(n_raw)
+    words = np.empty(pending + 2 * n_raw, dtype=np.uint64)
+    words[:pending] = saved["uinteger"]
+    words[pending::2] = raw & _LOW32
+    words[pending + 1 :: 2] = raw >> np.uint64(32)
+
+    span = np.uint64(r + 1)
+    exit_m = words * span  # every word read as a t_exit draw; below 2**48
+    # t_exit == t_min: the next word starts a journey
+    zero = exit_m <= _LOW32
+    position = np.arange(len(words))
+    reset = np.zeros(len(words), dtype=np.int64)
+    reset[1:][zero[:-1]] = position[1:][zero[:-1]]
+    starts = np.flatnonzero((position - np.maximum.accumulate(reset)) % 2 == 0)[: len(times)]
+
+    m = exit_m[starts]
+    exit_off = m >> np.uint64(32)
+    # the word after each start read as its t_entry draw; at t_exit == t_min its
+    # range is 0, so the product stays below 2**32 and its rejection bound is 0
+    entry_span = exit_off + np.uint64(1)
+    entry_m = words[starts + 1] * entry_span  # the n-th start is at most word 2n - 2
+    redraw = (m & _LOW32) < (np.uint64(1 << 32) - span) % span
+    redraw |= (entry_m & _LOW32) < (np.uint64(1 << 32) - entry_span) % entry_span
+    done = int(np.argmax(redraw)) if redraw.any() else len(starts)
+    times[:done, 0] = entry_m[:done] >> np.uint64(32)
+    times[:done, 1] = exit_off[:done]
+    times[:done] += t_min
+
+    used = int(starts[done - 1]) + 1 + bool(exit_off[done - 1]) if done else 0
+    bit_gen.state = saved
+    if used <= pending:  # at most the pending half was read
+        bit_gen.state = {**saved, "has_uint32": pending - used}
+    else:  # the last raw draw read keeps its high half buffered, pending if unread
+        n_used = (used - pending + 1) // 2
+        bit_gen.advance(n_used)
+        state = bit_gen.state
+        state["has_uint32"] = (used - pending) % 2
+        state["uinteger"] = int(raw[n_used - 1] >> np.uint64(32))
+        bit_gen.state = state
+    return done
 
 
 def _reroute_target(g: Graph, roi: tuple[int, ...], destination: int, dist_from_dest: np.ndarray) -> int:
@@ -400,7 +497,7 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
                 where, by_name = f"{path.name} line {reader.line_num}", dict(zip(header, row))
                 rows.append([_int_field(by_name, name, where) for name in names])
             lines.append(reader.line_num)
-    table = _check_journeys(path, rows, lines, n_nodes, len(names)).astype(np.int64, copy=False)
+    table = _check_journeys(path, rows, lines, n_nodes, len(names))
     cols = table[:, -4:]
     if not has_day:
         return {day_from_name: cols} if len(cols) else {}
@@ -411,33 +508,41 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
 def _check_journeys(
     path: Path, rows: list[list[int]], lines: list[int], n_nodes: int | None, width: int
 ) -> np.ndarray:
-    """The parsed rows as a (rows, width) table, once every row passes the journey checks.
+    """The parsed rows as a (rows, width) int64 table, once every row passes the journey checks.
 
-    A row is refused for a negative id or time, t_exit before t_entry, or
-    a station id not below `n_nodes` (when given); the first such row is
-    named by its file line, `lines[k]` for `rows[k]`.
+    A row is refused for a negative id or time, t_exit before t_entry, a
+    station id not below `n_nodes` (when given), or a value outside int64;
+    the first such row is named by its file line, `lines[k]` for `rows[k]`.
     """
     try:
         table = np.array(rows, dtype=np.int64).reshape(-1, width)
-    except OverflowError:  # check as Python ints; the caller's int64 cast refuses what passes
+    except OverflowError:  # check as Python ints, then refuse what int64 cannot hold
         table = np.array(rows, dtype=object).reshape(-1, width)
     o, d, te, tx = table[:, -4:].T
     bad = (o < 0) | (d < 0) | (te < 0) | (tx < te)
     if n_nodes is not None:
         bad |= (o >= n_nodes) | (d >= n_nodes)
+    if table.dtype == object:
+        bad |= ((table < -(2**63)) | (table >= 2**63)).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise _bad_journey(*table[k, -4:].tolist(), n_nodes, f"{path.name} line {lines[k]}")
-    return table
+        names = ("day", *_JOURNEY_FIELDS)[-width:]
+        row = dict(zip(names, table[k].tolist()))
+        raise _bad_journey(row, n_nodes, f"{path.name} line {lines[k]}")
+    return table.astype(np.int64, copy=False)
 
 
-def _bad_journey(o: int, d: int, te: int, tx: int, n_nodes: int | None, where: str) -> ValueError:
+def _bad_journey(row: dict[str, int], n_nodes: int | None, where: str) -> ValueError:
     """The error for a parsed journey row that failed a check, in the order they are made."""
+    o, d, te, tx = (row[name] for name in _JOURNEY_FIELDS)
     if o < 0 or d < 0 or te < 0:
         return ValueError(f"{where}: negative id or time")
     if tx < te:
         return ValueError(f"{where}: t_exit {tx} earlier than t_entry {te}")
-    return ValueError(f"{where}: station ids ({o}, {d}) out of range for {n_nodes} nodes")
+    if n_nodes is not None and max(o, d) >= n_nodes:
+        return ValueError(f"{where}: station ids ({o}, {d}) out of range for {n_nodes} nodes")
+    key, value = next((key, v) for key, v in row.items() if not -(2**63) <= v < 2**63)
+    return ValueError(f"{where}: {key}={value} exceeds int64")
 
 
 def load_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[int, np.ndarray]:

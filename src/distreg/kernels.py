@@ -258,6 +258,37 @@ def _diagonal_mask(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
+# numpy's default ufunc buffer, in elements
+_NUMPY_BUFSIZE = 8192
+
+
+class _SmallUfuncBuffer:
+    """Context manager: its body runs with a 128-element ufunc buffer if its
+    arrays hold more than `_NUMPY_BUFSIZE` elements (`size`), else with
+    numpy's default.
+
+    With the default, numpy (2.4 measured) runs a broadcast operation on
+    rows shorter than about 2,700 columns, or an operation on a view into
+    wider rows, 3-4x slower; arrays that fit in the default buffer gain
+    nothing. The buffer size changes no value; numpy keeps it per thread
+    (a context variable), and the old size is restored on exit. A class,
+    not a generator, because a `with` over it costs about 0.4 us instead
+    of 1.8 us, and `inner` enters it thousands of times per evaluate.
+    """
+
+    __slots__ = ("size", "old")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __enter__(self) -> None:
+        self.old = np.setbufsize(128) if self.size > _NUMPY_BUFSIZE else None
+
+    def __exit__(self, *exc) -> None:
+        if self.old is not None:
+            np.setbufsize(self.old)
+
+
 def _block_row_sums(
     k: KernelConfig,
     X: np.ndarray,
@@ -277,21 +308,13 @@ def _block_row_sums(
     every block of the run.
     """
     size = max((i1 - i0) * width for i0, i1, _, width in blocks)
-    # With its default 8192-element ufunc buffer, numpy (2.4 measured) runs a
-    # broadcast operation on rows shorter than about 2,700 columns, or an
-    # operation on a view into wider rows, 3-4x slower than with a small
-    # buffer. The buffer size changes no value; numpy keeps it per thread
-    # (a context variable), and it is restored before returning. Blocks that
-    # fit in the default buffer gain from neither that nor aligned buffers,
-    # so they skip both.
-    large = size > 8192
-    empty = _aligned_empty if large else np.empty
+    # blocks that fit in numpy's default ufunc buffer gain nothing from aligned buffers
+    empty = _aligned_empty if size > _NUMPY_BUFSIZE else np.empty
     buf = empty(size)
     tmp = None
     if X.shape[1] > 1:
         tmp = empty(max((i1 - i0) * cols for i0, i1, cols, _ in blocks))
-    bufsize = np.setbufsize(128) if large else None
-    try:
+    with _SmallUfuncBuffer(size):
         for i0, i1, cols, width in blocks:
             h = i1 - i0
             rows = buf[: h * width].reshape(h, width)
@@ -303,9 +326,6 @@ def _block_row_sums(
                 rows[:, cols:] = 0.0
                 np.copyto(rows[:, i0:cols], 0.0, where=_diagonal_mask(h, cols - i0))
             np.sum(rows, axis=1, out=row_sums[i0:i1])
-    finally:
-        if bufsize is not None:
-            np.setbufsize(bufsize)
 
 
 def _row_sums(
@@ -472,7 +492,8 @@ def pairwise_distances(X, family: str = GAUSSIAN) -> np.ndarray:
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     Xm = _as_matrix(X)
-    D = _dists(Xm, Xm, family)[_upper_triangle(Xm.shape[0])]
+    with _SmallUfuncBuffer(Xm.shape[0] ** 2):
+        D = _dists(Xm, Xm, family)[_upper_triangle(Xm.shape[0])]
     if family == GAUSSIAN:
         np.sqrt(D, out=D)
     return D

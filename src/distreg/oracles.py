@@ -1,8 +1,8 @@
 """Brute-force self-checks runnable from the CLI.
 
 Each suite re-derives a quantity by the dumbest available method (nested
-double sums, exhaustive grid search, hand-worked BFS answers) and
-compares it against the fast implementation. Everything is seeded, so
+double sums, exhaustive grid search, hand-worked BFS answers, one scalar
+call per random draw) and compares it against the fast implementation. Everything is seeded, so
 output is identical across runs.
 """
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simplex_qp
-from . import kernels
+from . import data_io, kernels, simplex_qp
 from .kernels import (
     GAUSSIAN,
     LAPLACE,
@@ -265,19 +264,78 @@ def _bfs_suite() -> list[OracleCase]:
     return cases
 
 
+def _journey_times_by_call(rng: np.random.Generator, count: int, t_min: int, t_max: int):
+    """The generator's journey times one scalar call at a time: t_exit, then t_entry <= t_exit."""
+    times = np.empty((count, 2), dtype=np.int64)
+    for row in times:
+        row[1] = rng.integers(t_min, t_max + 1)
+        row[0] = rng.integers(t_min, row[1] + 1)
+    return times
+
+
+# (t_min, t_max, journeys) of the draws suite: ranges of one and two values,
+# small ones, the criterion-8 day, both sides of the widest range drawn from
+# words, the range below that with the largest rejection bound (65,175
+# values; the suite's seed redoes a t_entry draw, and after the pending half
+# a t_exit draw too), and ranges that numpy draws from 32-bit words without
+# rejection or from 64-bit draws
+_DRAW_CASES = [
+    (0, 0, 300),
+    (0, 1, 3000),
+    (5, 6, 3000),
+    (0, 3, 3000),
+    (10, 30, 3000),
+    (0, 239, 3000),
+    (0, 2**16 - 1, 3000),
+    (0, 2**16, 300),
+    (0, 65_174, 42_000),
+    (3, 2**20, 300),
+    (0, 2**31, 300),
+    (0, 2**32 - 2, 300),
+    (0, 2**32 - 1, 300),
+    (0, 2**33, 300),
+]
+
+
+def _draws_suite() -> list[OracleCase]:
+    """The generator's journey times and its state after them, against one call per draw.
+
+    Each case starts after a Poisson draw, as a generated day does, and
+    once more after a scalar draw that leaves half of a 64-bit word pending.
+    """
+    cases = []
+    for t_min, t_max, count in _DRAW_CASES:
+        for pending in (False, True):
+            fast, slow = np.random.default_rng(20240604), np.random.default_rng(20240604)
+            for rng in (fast, slow):
+                rng.poisson(2.0, size=7)
+                if pending:
+                    rng.integers(0, 10)
+            got = data_io._journey_times(fast, count, t_min, t_max)
+            want = _journey_times_by_call(slow, count, t_min, t_max)
+            same_times = bool(np.array_equal(got, want))
+            same_state = fast.bit_generator.state == slow.bit_generator.state
+            cases.append(
+                OracleCase(
+                    name=f"draws/{t_min}-{t_max}-n{count}" + ("-pending" if pending else ""),
+                    passed=same_times and same_state,
+                    detail=f"times equal={same_times} state equal={same_state}",
+                )
+            )
+    return cases
+
+
 SUITES = {
     "gram": _gram_suite,
     "qp": _qp_suite,
     "bfs": _bfs_suite,
+    "draws": _draws_suite,
 }
 
 
 def run_suite(name: str) -> list[OracleCase]:
     if name == "all":
-        out = []
-        for suite_name in ("gram", "qp", "bfs"):
-            out.extend(SUITES[suite_name]())
-        return out
+        return [case for suite in SUITES.values() for case in suite()]
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name]()

@@ -239,7 +239,7 @@ class TestOracle:
         assert "PASS" in out and "FAIL" not in out
 
     def test_individual_suites(self):
-        for suite in ("gram", "qp", "bfs"):
+        for suite in ("gram", "qp", "bfs", "draws"):
             assert main(["oracle", "--suite", suite]) == 0
 
     def test_unknown_suite_exit_2(self, capsys):
@@ -501,6 +501,11 @@ BAD_DATASET_FILES = {
     ),
     "config-seed-too-big": (
         "config.txt", f"seed = {2**128}\n", "config.txt line 1: bad seed value '340282366920"
+    ),
+    "journeys-beyond-int64": (
+        "journeys_day0.csv",
+        "origin,destination,t_entry,t_exit\n0,1,5,6\n0,1,5,99999999999999999999\n",
+        "journeys_day0.csv line 3: t_exit=99999999999999999999 exceeds int64",
     ),
 }
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from distreg import data_io, oracles
 from distreg.cli import main as cli_main
 from distreg.data_io import (
     SyntheticScenario,
@@ -58,6 +59,7 @@ ROW_FAULTS = {
     "out-of-range-beyond-int64": (
         f"1,{10**30},5,6", f"station ids (1, {10**30}) out of range for 5 nodes"
     ),
+    "beyond-int64": (f"0,1,5,{10**20 - 1}", f"t_exit={10**20 - 1} exceeds int64"),
 }
 
 # a file with the faulty row at {row} -> its name and the faulty row's line
@@ -151,6 +153,30 @@ class TestLoadJourneys:
         p = write(tmp_path / name, text.format(row=row))
         with pytest.raises(ValueError, match=f"^{name} line {line}: {re.escape(message)}$"):
             load_journeys(p, n_nodes=5)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("origin,destination,t_entry,t_exit\n0,1,{big},{big}\n", "line 2: t_entry={big}"),
+            ("day,origin,destination,t_entry,t_exit\n{big},0,1,5,6\n", "line 2: day={big}"),
+            ("day,origin,destination,t_entry,t_exit\n{small},0,1,5,6\n", "line 2: day={small}"),
+        ],
+        ids=["both-times", "day", "negative-day"],
+    )
+    def test_value_beyond_int64_named_with_line_and_key(self, tmp_path, text, message):
+        bounds = dict(big=2**63, small=-(2**63) - 1)
+        p = write(tmp_path / "journeys_day0.csv", text.format(**bounds))
+        want = f"^journeys_day0.csv {message.format(**bounds)} exceeds int64$"
+        with pytest.raises(ValueError, match=want):
+            load_journeys(p)
+
+    def test_int64_bounds_load(self, tmp_path):
+        top = 2**63 - 1
+        p = write(
+            tmp_path / "journeys.csv",
+            f"day,origin,destination,t_entry,t_exit\n{-(2**63)},0,1,{top},{top}\n",
+        )
+        assert as_lists(load_journeys(p)) == {-(2**63): [[0, 1, top, top]]}
 
 
 class TestLoadDisruptions:
@@ -352,6 +378,147 @@ class TestGenerateSynthetic:
         )
         with pytest.raises(ValueError, match="disconnected"):
             generate_synthetic(s)
+
+
+# draws a generator may have made before a day's journey times; a scalar
+# `integers` call leaves the high half of its 64-bit draw pending
+PRE_DRAWS = {
+    "poisson": lambda rng: rng.poisson(2.0, size=3),
+    "integers": lambda rng: rng.integers(0, 10),
+    "random": lambda rng: rng.random(),
+}
+
+
+def after_same_draws(pre_draws, pending_word=None, seed=0):
+    """Two generators with one seed, each after the same `PRE_DRAWS`;
+    `pending_word` then leaves that 32-bit word pending."""
+    pair = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        for draw in pre_draws:
+            PRE_DRAWS[draw](rng)
+        if pending_word is not None:
+            state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": pending_word}
+            rng.bit_generator.state = state
+        pair.append(rng)
+    return pair
+
+
+def assert_same_draws(t_min, t_max, count, fast, slow):
+    """`_journey_times` on `fast` gives the table that one scalar call per draw
+    gives on `slow`, and leaves the generator in the same state."""
+    got = data_io._journey_times(fast, count, t_min, t_max)
+    want = oracles._journey_times_by_call(slow, count, t_min, t_max)
+    assert got.dtype == np.int64 and got.shape == (count, 2)
+    assert np.array_equal(got, want)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    for rng_draw in (
+        lambda rng: rng.integers(0, 1000),
+        lambda rng: rng.random(),
+        lambda rng: rng.poisson(3.0, size=4).tolist(),
+    ):
+        assert rng_draw(fast) == rng_draw(slow)
+
+
+# (t_min, t_max): zero range, one more value, small, the criterion-8 day, both
+# sides of the widest range drawn from words (2**16 values), and ranges that
+# numpy draws from 32-bit words without rejection or from 64-bit draws
+DRAW_RANGES = {
+    "zero": (7, 7),
+    "r1": (0, 1),
+    "small": (10, 30),
+    "day": (0, 239),
+    "widest-words": (5, 5 + 2**16 - 1),
+    "first-scalar": (5, 5 + 2**16),
+    "second-scalar": (5, 5 + 2**16 + 1),
+    "unbounded-words": (0, 2**32 - 1),
+    "64-bit": (0, 2**33),
+}
+
+
+class TestJourneyTimes:
+    @pytest.mark.parametrize("pending", [False, True], ids=["no-pending", "pending"])
+    @pytest.mark.parametrize("case", sorted(DRAW_RANGES))
+    def test_matches_one_call_per_draw(self, case, pending):
+        t_min, t_max = DRAW_RANGES[case]
+        for count in (0, 1, 2, 7, 2000):
+            pre = ["poisson", "integers"] if pending else ["poisson"]
+            assert_same_draws(t_min, t_max, count, *after_same_draws(pre, seed=count))
+
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        """The journey counts `_journey_times` hands to its call-by-call path."""
+        calls = []
+        one_by_one = data_io._scalar_journey_times
+        monkeypatch.setattr(
+            data_io,
+            "_scalar_journey_times",
+            lambda *args: calls.append(args[1]) or one_by_one(*args),
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "seed, pre, count",
+        [(0, ["poisson"], 7000), (0, ["poisson", "integers"], 7000), (4, ["poisson"], 20000)],
+        ids=["exit", "exit-pending", "entry"],
+    )
+    def test_redone_draws(self, scalar_calls, seed, pre, count):
+        # 65,175 values: the largest rejection bound below 2**16 values. Seed 0
+        # redoes 2 and 3 t_exit draws in 7,000 journeys, seed 4 two t_entry draws;
+        # each such journey is drawn call by call
+        assert_same_draws(0, 65_174, count, *after_same_draws(pre, seed=seed))
+        assert scalar_calls and set(scalar_calls) == {1}
+
+    @pytest.mark.parametrize(
+        "t_max, count, redone", [(65_174, 50, [1]), (1, 1, []), (1, 6, [])], ids=str
+    )
+    def test_pending_word_zero(self, scalar_calls, t_max, count, redone):
+        # word 0 draws t_exit == t_min, so a journey may read the pending half
+        # alone; it is below the rejection bound of every range that has one,
+        # such as 65,175 values (2 values have none)
+        assert_same_draws(0, t_max, count, *after_same_draws(["poisson"], pending_word=0))
+        assert scalar_calls == redone
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        t_min=st.integers(min_value=0, max_value=2**40),
+        r=st.one_of(
+            st.integers(min_value=0, max_value=300),
+            st.integers(min_value=2**16 - 2, max_value=2**16 + 2),
+            st.integers(min_value=0, max_value=2**34),
+        ),
+        count=st.integers(min_value=0, max_value=300),
+        pre=st.lists(st.sampled_from(sorted(PRE_DRAWS)), max_size=4),
+        pending_word=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_any_range_and_start(self, t_min, r, count, pre, pending_word, seed):
+        assert_same_draws(t_min, t_min + r, count, *after_same_draws(pre, pending_word, seed))
+
+    @staticmethod
+    def simulate(out, **window):
+        """`distreg simulate` of a 4-station path with these time-window fields into out."""
+        scenario = dict(topology="path", n_nodes=4, days=2, n_disruptions=1, phi=0.5, **window)
+        path = write(out.parent / "scenario.json", json.dumps(scenario))
+        return cli_main(["simulate", "--scenario", str(path), "--out", str(out)])
+
+    def test_wide_range_simulates(self, tmp_path):
+        assert self.simulate(tmp_path / "out", t_max=2**32) == 0
+        t_exit = load_journeys(tmp_path / "out" / "journeys_day0.csv")[0][:, 3]
+        assert t_exit.max() > 2**31
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (dict(t_max=2**70), "high is out of bounds for int64"),
+            (dict(t_min=2**70, t_max=2**70, window_min=1, window_max=1), "out of bounds for int64"),
+        ],
+        ids=["t_max", "t_min-and-t_max"],
+    )
+    def test_beyond_int64_exit_2(self, tmp_path, capsys, window, message):
+        assert self.simulate(tmp_path / "out", **window) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def day_forced(dc, day):
