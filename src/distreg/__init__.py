@@ -26,10 +26,9 @@ from .kernels import (
     eval_kernel,
     gram,
     inner,
-    median_heuristic,
     mmd2,
 )
-from .network import Disruption, Graph, bfs_distance, detour_score, disrupted_adjacency, feasible
+from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
 from .pipeline import (
     DayCounts,
     InterferenceConfig,

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("oracle", help="run brute-force self-check suites")
-    p.add_argument("--suite", required=True, help="gram | qp | bfs | all")
+    p.add_argument("--suite", required=True, help=" | ".join([*oracles.SUITES, "all"]))
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -17,7 +17,8 @@ cache-sized block at a time, and the row blocks are split by work across
 one worker thread per usable CPU, each with its own buffers. Neither the
 block height nor the number of workers affects any bit: the summation
 tree depends only on the shapes, so repeated runs give bit-identical
-results on any machine.
+results on any machine. The bandwidth median, `median_pairwise_distance`,
+bisects over float64 bit patterns on sorted distinct-row distances.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "inner",
     "embedding_gram",
     "mmd2",
-    "median_heuristic",
     "median_pairwise_distance",
     "rho_from_median",
     "combine",
@@ -508,32 +508,6 @@ def subsample_rows(X: np.ndarray, cap: int = 1000) -> np.ndarray:
     return X[::stride][:cap]
 
 
-def _weighted_select(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[float, int]:
-    """k-th smallest (0-based) of the multiset holding weights[i] copies of values[i].
-
-    Returns the value and the total weight strictly below it. Quickselect
-    with the unweighted median of the remaining values as pivot, so every
-    round drops at least half of them. Needs 0 <= k < weights.sum() and
-    positive weights.
-    """
-    offset = 0
-    while True:
-        mid = values.shape[0] // 2
-        pivot = np.partition(values, mid)[mid]
-        below = values < pivot
-        w_below = int(np.sum(weights[below]))
-        if k < w_below:
-            values, weights = values[below], weights[below]
-            continue
-        w_upto = w_below + int(np.sum(weights[values == pivot]))
-        if k < w_upto:
-            return float(pivot), offset + w_below
-        k -= w_upto
-        offset += w_upto
-        above = values > pivot
-        values, weights = values[above], weights[above]
-
-
 def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
     """Median of the union of each pool's within-pool pairwise distances.
 
@@ -543,30 +517,39 @@ def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
     `pairwise_distances` call on the distinct rows gives every distance:
     a pair of distinct rows u, v stands for c_u * c_v equal distances, and
     each row for c (c - 1) / 2 exact zeros. Equal rows give bit-identical
-    distances, so the multiset, and the median, is exactly the same. The
-    middle order statistics come from weighted partition-based selection,
-    and an even total returns the mean of the two, as `np.median` does.
+    distances, so the multiset, and the median, is exactly the same. With
+    each pool's distances sorted, the count of distances <= t is the zeros
+    plus one `np.searchsorted` per pool; the k-th smallest is the least t
+    with a count above k, bisected over float64 bit patterns, which sort
+    as non-negative floats do.
     """
-    values, weights = [], []
+    runs = []  # per pool: its sorted distances, and at [i] the pair count of the first i
     zeros = 0
     for pool in pools:
         rows, counts = np.unique(subsample_rows(_as_matrix(pool)), axis=0, return_counts=True)
-        values.append(pairwise_distances(rows, family))
-        weights.append(np.multiply.outer(counts, counts)[_upper_triangle(rows.shape[0])])
+        dists = pairwise_distances(rows, family)
+        pairs = np.multiply.outer(counts, counts)[_upper_triangle(rows.shape[0])]
+        order = np.argsort(dists)
+        runs.append((dists[order], np.concatenate(([0], np.cumsum(pairs[order])))))
         zeros += int(np.sum(counts * (counts - 1))) // 2
-    if zeros:
-        values.append(np.zeros(1))
-        weights.append(np.array([zeros]))
-    if not any(w.size for w in weights):
+    total = zeros + sum(int(upto[-1]) for _, upto in runs)
+    if total == 0:
         raise ValueError("median pairwise distance needs a pool of at least 2 samples")
-    values, weights = np.concatenate(values), np.concatenate(weights)
-    total = int(np.sum(weights))
-    k = total // 2
-    hi, below = _weighted_select(values, weights, k)
-    if total % 2:
-        return hi
-    lo = hi if below < k else float(np.max(values[values < hi]))
-    return float(np.mean([lo, hi]))
+
+    def kth(k: int) -> float:  # 0-based
+        # Python ints from the pattern of 0.0 to that of inf: lo + hi overflows int64
+        lo, hi = 0, 0x7FF0000000000000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = np.int64(mid).view(np.float64)
+            if zeros + sum(int(upto[d.searchsorted(t, "right")]) for d, upto in runs) > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return float(np.int64(lo).view(np.float64))
+
+    upper = kth(total // 2)
+    return upper if total % 2 else float(np.mean([kth(total // 2 - 1), upper]))
 
 
 def rho_from_median(m: float, family: str) -> float:
@@ -585,19 +568,6 @@ def rho_from_median(m: float, family: str) -> float:
     if family == GAUSSIAN:
         return 1.0 / (2.0 * m * m)
     return 1.0 / m
-
-
-def median_heuristic(X: SampleSet, family: str = GAUSSIAN) -> float:
-    """Bandwidth `rho_from_median` of the sample set's median pairwise distance.
-
-    Sample sets larger than 1000 points are deterministically strided
-    down first. The median is the exact weighted median over the distinct
-    rows (`median_pairwise_distance`); no vector of all pairwise
-    distances is built.
-    """
-    if len(X) < 2:
-        raise ValueError("median heuristic needs at least 2 samples")
-    return rho_from_median(median_pairwise_distance([X.samples], family), family)
 
 
 def combine(embeddings: Sequence[Embedding], coeffs) -> Embedding:

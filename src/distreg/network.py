@@ -5,8 +5,8 @@ incident to a region-of-interest (ROI) station, which makes the ROI
 stations themselves unreachable in the disrupted graph. The detour score
 is 1 - dist_natural / dist_disrupted, in [0, 1]: 0 when the path is
 unchanged, and 1 on disconnection (the limit of the hop-count ratio).
-`feasible_origins` is the vectorised form the feature pipeline uses;
-`detour_score` and `feasible` are its pairwise reference.
+`feasible_origins` applies it to every origin at once, for the feature
+pipeline; its pairwise reference is in `oracles`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "Disruption",
     "bfs_distance",
     "disrupted_adjacency",
-    "detour_score",
-    "feasible",
     "feasible_origins",
 ]
 
@@ -107,38 +105,10 @@ def disrupted_adjacency(g: Graph, roi: Sequence[int]) -> Graph:
     return Graph(adj)
 
 
-def detour_score(g: Graph, g_disrupted: Graph, o: int, d: int) -> float:
-    """Relative path lengthening caused by a disruption, for one origin-destination pair.
-
-    1 - dist_A(o, d) / dist_disrupted(o, d), in [0, 1]: 0 when the path is
-    unchanged, 1 when the pair is disconnected under the disrupted adjacency.
-    """
-    _check_node(g, o, "origin")
-    _check_node(g, d, "destination")
-    if o == d:
-        raise ValueError("origin and destination must differ")
-    if g.n_nodes != g_disrupted.n_nodes:
-        raise ValueError("graphs must have the same node count")
-    dist_nat = float(bfs_distance(g, o)[d])
-    if not np.isfinite(dist_nat):
-        raise ValueError(f"nodes {o} and {d} are disconnected in the natural graph")
-    dist_dis = float(bfs_distance(g_disrupted, o)[d])
-    if not np.isfinite(dist_dis):
-        return 1.0
-    return 1.0 - dist_nat / dist_dis
-
-
-def feasible(o: int, d: int, g: Graph, g_disrupted: Graph, xi: float) -> bool:
-    """True iff the detour score is at most xi (path not lengthened beyond the threshold)."""
-    if not xi > 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    return detour_score(g, g_disrupted, o, d) <= xi
-
-
 def feasible_origins(g: Graph, g_disrupted: Graph, destination: int, xi: float) -> np.ndarray:
     """Boolean mask over all origins: which ones keep a feasible path to `destination`.
 
-    Vectorized extension of `feasible` used by the feature pipeline, with
+    Vectorized extension of the pairwise `oracles.feasible`, with
     two rules for the cases the pairwise operation rejects:
     the destination itself is always feasible (no travel involved), and
     origins disconnected from the destination in the natural graph are

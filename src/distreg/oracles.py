@@ -1,9 +1,12 @@
 """Brute-force self-checks runnable from the CLI.
 
 Each suite re-derives a quantity by the dumbest available method (nested
-double sums, exhaustive grid search, hand-worked BFS answers, one scalar
-call per random draw) and compares it against the fast implementation. Everything is seeded, so
-output is identical across runs.
+double sums, exhaustive grid search, hand-worked BFS answers and pairwise
+detour scores, one scalar call per random draw, a median over every
+pairwise distance) and compares it against the fast implementation.
+Everything is seeded, so output is identical across runs. The pure
+references that tests share (`training_objective`, `detour_score`,
+`feasible`, `reference_median`) live here too.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from .kernels import (
     eval_kernel,
     gram,
     inner,
+    median_pairwise_distance,
     mmd2,
+    pairwise_distances,
+    subsample_rows,
 )
-from .network import Graph, bfs_distance, disrupted_adjacency
+from .network import Graph, _check_node, bfs_distance, disrupted_adjacency, feasible_origins
+from .regression import TrainingPairs, _normal_equations
+from .simplex_qp import misfit
 
 __all__ = ["OracleCase", "run_suite", "SUITES"]
 
@@ -43,6 +51,16 @@ def _double_sum_inner(k: KernelConfig, a, b) -> float:
         for j, y in enumerate(b.sample_set.samples):
             total += a.weights[i] * b.weights[j] * eval_kernel(k, x, y)
     return total
+
+
+def training_objective(pairs: TrainingPairs, coeffs) -> float:
+    """sum_k || mu_P(k) - sum_i coeffs[i] mu_Qi(k) ||^2 for any coefficient vector."""
+    c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
+    if c.shape[0] != pairs.arity:
+        raise ValueError(f"expected {pairs.arity} coefficients, got {c.shape[0]}")
+    # sum_k <P_k, P_k> - 2 c^T b + c^T G c on the normal equations
+    G, b = _normal_equations(pairs)
+    return misfit(G, b, c, sum(inner(out, out) for out in pairs.outputs))
 
 
 def _gram_suite() -> list[OracleCase]:
@@ -223,6 +241,34 @@ def _qp_suite() -> list[OracleCase]:
     return cases
 
 
+def detour_score(g: Graph, g_disrupted: Graph, o: int, d: int) -> float:
+    """Relative path lengthening caused by a disruption, for one origin-destination pair.
+
+    1 - dist_A(o, d) / dist_disrupted(o, d), in [0, 1]: 0 when the path is
+    unchanged, 1 when the pair is disconnected under the disrupted adjacency.
+    """
+    _check_node(g, o, "origin")
+    _check_node(g, d, "destination")
+    if o == d:
+        raise ValueError("origin and destination must differ")
+    if g.n_nodes != g_disrupted.n_nodes:
+        raise ValueError("graphs must have the same node count")
+    dist_nat = float(bfs_distance(g, o)[d])
+    if not np.isfinite(dist_nat):
+        raise ValueError(f"nodes {o} and {d} are disconnected in the natural graph")
+    dist_dis = float(bfs_distance(g_disrupted, o)[d])
+    if not np.isfinite(dist_dis):
+        return 1.0
+    return 1.0 - dist_nat / dist_dis
+
+
+def feasible(o: int, d: int, g: Graph, g_disrupted: Graph, xi: float) -> bool:
+    """True iff the detour score is at most xi (path not lengthened beyond the threshold)."""
+    if not xi > 0:
+        raise ValueError(f"xi must be positive, got {xi}")
+    return detour_score(g, g_disrupted, o, d) <= xi
+
+
 def _bfs_suite() -> list[OracleCase]:
     cases = []
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -261,6 +307,32 @@ def _bfs_suite() -> list[OracleCase]:
             detail=f"dist={got.tolist()}",
         )
     )
+    # feasible_origins against the pairwise rule on random graphs, disconnected
+    # ones included, for every destination and several thresholds
+    rng = np.random.default_rng(20240605)
+    for trial in range(8):
+        n = int(rng.integers(5, 13))
+        upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+        g = Graph((upper | upper.T).astype(np.int8))
+        roi = rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()
+        g_dis = disrupted_adjacency(g, roi)
+        wrong = []
+        for d in range(n):
+            connected = np.isfinite(bfs_distance(g, d))
+            for xi in (0.2, 1.0 / 3.0, 0.5, 1.0):
+                mask = feasible_origins(g, g_dis, d, xi)
+                for o in range(n):
+                    # the destination itself is feasible, a natural disconnection is not
+                    want = o == d or (bool(connected[o]) and feasible(o, d, g, g_dis, xi))
+                    if mask[o] != want:
+                        wrong.append((o, d, xi))
+        cases.append(
+            OracleCase(
+                name=f"bfs/feasible-origins-n{n}-{trial}",
+                passed=not wrong,
+                detail=f"roi={roi} wrong (o, d, xi)={wrong}",
+            )
+        )
     return cases
 
 
@@ -325,11 +397,46 @@ def _draws_suite() -> list[OracleCase]:
     return cases
 
 
+def reference_median(pools, family: str) -> float:
+    """The pooled median taken the long way: every within-pool distance, then np.median."""
+    return float(
+        np.median(np.concatenate([pairwise_distances(subsample_rows(p), family) for p in pools]))
+    )
+
+
+def _median_suite() -> list[OracleCase]:
+    """The bandwidth median against `reference_median`."""
+    rng = np.random.default_rng(20240606)
+    pool_sets = {
+        "odd-21": [rng.normal(size=(7, 2))],
+        "even-10+6": [rng.normal(size=(5, 1)), rng.normal(size=(4, 3))],
+        # 37 rounded rows cycled to 1,777: subsampled to 889 rows with repeats
+        "cycled-1777": [np.resize(np.round(rng.normal(size=(37, 2)), 1), (1777, 2))],
+        "identical": [np.full((6, 3), 0.3)],
+        # distances {1, 1, 2} and {3, 3, 6}: the middle two, 2 and 3, in different pools
+        "split-middle": [np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [3.0], [6.0]])],
+    }
+    cases = []
+    for label, pools in pool_sets.items():
+        for family in (GAUSSIAN, LAPLACE):
+            fast = median_pairwise_distance(pools, family)
+            slow = reference_median(pools, family)
+            cases.append(
+                OracleCase(
+                    name=f"median/{label}-{family}",
+                    passed=fast == slow,
+                    detail=f"fast={fast!r} slow={slow!r}",
+                )
+            )
+    return cases
+
+
 SUITES = {
     "gram": _gram_suite,
     "qp": _qp_suite,
     "bfs": _bfs_suite,
     "draws": _draws_suite,
+    "median": _median_suite,
 }
 
 

@@ -387,16 +387,18 @@ def _basis_rows(
         raise ValueError("no natural traffic at any ROI station; basis would be degenerate")
     R = cfg.rescale_levels
     C = cfg.rescale_span * mean_max / (R - 1)
-    blocks = []
+    # one allocation, so an R too large for memory fails here, before any work
+    try:
+        blocks = np.zeros((R * m, n_days, m))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise MemoryError(f"no memory for the basis of R = {R} rescale levels: {exc}") from exc
     labels = []
     for r in range(1, R + 1):
         lam = 1.0 + (r - 1) * C
         for j, station in enumerate(z.roi):
-            rows = np.zeros((n_days, m))
-            rows[:, j] = lam * totals[:, j]
-            blocks.append(rows)
+            blocks[(r - 1) * m + j, :, j] = lam * totals[:, j]
             labels.append(f"r{r}_station{station}")
-    return blocks, labels
+    return list(blocks), labels
 
 
 def build_basis(

@@ -11,9 +11,7 @@ Four model classes over input/output embedding pairs:
   probability simplex, solved as a simplex QP.
 
 All fitting reduces to small Gram systems built from embedding inner
-products, and `training_objective` evaluates the fitted misfit on the
-same system through `simplex_qp.misfit`, pairwise-summed without BLAS.
-Empirical Gram matrices are often near-singular, so every
+products. Empirical Gram matrices are often near-singular, so every
 inversion takes a ridge term; passing ridge=None picks a tiny default
 scaled by the matrix trace, while ridge=0 demands full rank and raises
 otherwise.
@@ -27,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Embedding, KernelConfig, combine, embedding_gram, inner
-from .simplex_qp import SimplexQPProblem, misfit, simplex_point, solve
+from .simplex_qp import SimplexQPProblem, simplex_point, solve
 
 __all__ = [
     "SingularGramError",
@@ -42,7 +40,6 @@ __all__ = [
     "fit_mixture_embeddings",
     "fit_mixture_distributions",
     "predict_embedding",
-    "training_objective",
 ]
 
 
@@ -243,13 +240,3 @@ def predict_embedding(
     if len(inputs) != coeffs.shape[0]:
         raise ValueError(f"model expects {coeffs.shape[0]} inputs, got {len(inputs)}")
     return combine(inputs, coeffs)
-
-
-def training_objective(pairs: TrainingPairs, coeffs) -> float:
-    """sum_k || mu_P(k) - sum_i coeffs[i] mu_Qi(k) ||^2 for any coefficient vector."""
-    c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
-    if c.shape[0] != pairs.arity:
-        raise ValueError(f"expected {pairs.arity} coefficients, got {c.shape[0]}")
-    # sum_k <P_k, P_k> - 2 c^T b + c^T G c on the normal equations
-    G, b = _normal_equations(pairs)
-    return misfit(G, b, c, sum(inner(out, out) for out in pairs.outputs))

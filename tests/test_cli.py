@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from distreg import oracles
 from distreg.cli import main
 
 SCENARIO_JSON = {
@@ -239,7 +240,7 @@ class TestOracle:
         assert "PASS" in out and "FAIL" not in out
 
     def test_individual_suites(self):
-        for suite in ("gram", "qp", "bfs", "draws"):
+        for suite in oracles.SUITES:
             assert main(["oracle", "--suite", suite]) == 0
 
     def test_unknown_suite_exit_2(self, capsys):
@@ -501,6 +502,10 @@ BAD_DATASET_FILES = {
     ),
     "config-seed-too-big": (
         "config.txt", f"seed = {2**128}\n", "config.txt line 1: bad seed value '340282366920"
+    ),
+    # R * |ROI| basis components of this size are hundreds of TiB: the one allocation fails at once
+    "config-R-beyond-memory": (
+        "config.txt", "R = 1000000000000\n", "no memory for the basis of R = 1000000000000"
     ),
     "journeys-beyond-int64": (
         "journeys_day0.csv",

@@ -22,7 +22,6 @@ from distreg import (
     eval_kernel,
     gram,
     inner,
-    median_heuristic,
     mmd2,
 )
 from distreg import kernels
@@ -458,26 +457,32 @@ class TestEmbeddingAlgebraProperties:
 
 class TestMedianHeuristic:
     def test_single_pair(self):
-        assert median_heuristic(SampleSet(np.array([[0.0], [2.0]]))) == pytest.approx(0.125)
+        X = SampleSet(np.array([[0.0], [2.0]]))
+        m = median_pairwise_distance([X.samples])
+        assert rho_from_median(m, GAUSSIAN) == pytest.approx(0.125)
 
     def test_three_points_hand_enumeration(self):
         # pairwise distances {1, 1, 2}, median 1 -> rho = 0.5
         X = SampleSet(np.array([[0.0], [1.0], [2.0]]))
-        assert median_heuristic(X) == pytest.approx(0.5)
+        m = median_pairwise_distance([X.samples])
+        assert rho_from_median(m, GAUSSIAN) == pytest.approx(0.5)
 
     def test_degenerate_input(self):
+        X = SampleSet(np.array([[1.0], [1.0], [1.0]]))
         with pytest.raises(ValueError, match="rho"):
-            median_heuristic(SampleSet(np.array([[1.0], [1.0], [1.0]])))
+            rho_from_median(median_pairwise_distance([X.samples]), GAUSSIAN)
 
     def test_laplace_uses_l1(self):
         # l1 distances {2, 2, 4}, median 2 -> rho = 0.5
         X = SampleSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-        assert median_heuristic(X, LAPLACE) == pytest.approx(0.5)
+        m = median_pairwise_distance([X.samples], LAPLACE)
+        assert rho_from_median(m, LAPLACE) == pytest.approx(0.5)
 
     def test_subsampling_is_deterministic(self):
         rng = np.random.default_rng(10)
         X = SampleSet(rng.normal(size=(2500, 1)))
-        assert median_heuristic(X) == median_heuristic(X)
+        rho = rho_from_median(median_pairwise_distance([X.samples]), GAUSSIAN)
+        assert rho == rho_from_median(median_pairwise_distance([X.samples]), GAUSSIAN)
 
 
 # few distinct coordinates, so rows repeat often; 0.1, 0.2 and 0.3 make inexact sums
@@ -532,10 +537,10 @@ class TestMedianPairwiseDistance:
         if len(pools) == 1:
             X = SampleSet(pools[0])
             if want > 0.0:
-                assert median_heuristic(X, family) == rho
+                assert rho_from_median(median_pairwise_distance([X.samples], family), family) == rho
             else:
                 with pytest.raises(ValueError, match=ZERO_MEDIAN):
-                    median_heuristic(X, family)
+                    rho_from_median(median_pairwise_distance([X.samples], family), family)
 
     def test_one_distance_call_per_pool_on_distinct_rows(self, monkeypatch):
         calls = []

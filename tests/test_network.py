@@ -7,11 +7,10 @@ from distreg.network import (
     Disruption,
     Graph,
     bfs_distance,
-    detour_score,
     disrupted_adjacency,
-    feasible,
     feasible_origins,
 )
+from distreg.oracles import detour_score, feasible
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 CYCLE4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

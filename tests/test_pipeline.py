@@ -19,7 +19,8 @@ from distreg.pipeline import (
     roi_exit_vector,
     train,
 )
-from distreg.regression import MixtureEmbeddingModel, TrainingPairs, training_objective
+from distreg.oracles import training_objective
+from distreg.regression import MixtureEmbeddingModel, TrainingPairs
 from util import compositions, reference_median, reference_rho
 
 # 5 nodes, two routes between 0 and 2 (0-1-2 and 0-3-4-2)

@@ -26,8 +26,8 @@ from distreg.regression import (
     fit_nonparametric,
     fit_one_parameter,
     predict_embedding,
-    training_objective,
 )
+from distreg.oracles import training_objective
 
 from util import gaussian_set, mixture_set, projected_operator_error
 

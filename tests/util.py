@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from distreg import GAUSSIAN, DayCounts, KernelConfig, SampleSet, embed
-from distreg.kernels import pairwise_distances, subsample_rows
+from distreg.oracles import reference_median  # re-exported: the tests import it from here
 
 
 def dataset_days(ds) -> dict[int, DayCounts]:
@@ -41,13 +41,6 @@ def compositions(total: int, parts: int) -> np.ndarray:
         rest = compositions(total - first, parts - 1)
         out.append(np.hstack([np.full((rest.shape[0], 1), first), rest]))
     return np.vstack(out)
-
-
-def reference_median(pools, family: str) -> float:
-    """The pooled median taken the long way: every within-pool distance, then np.median."""
-    return float(
-        np.median(np.concatenate([pairwise_distances(subsample_rows(p), family) for p in pools]))
-    )
 
 
 def reference_rho(m: float, family: str) -> float:
