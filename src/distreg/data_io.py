@@ -202,11 +202,10 @@ def _journey_times(rng: np.random.Generator, count: int, t_min: int, t_max: int)
     Each journey is the scalar pair t_exit = rng.integers(t_min, t_max + 1),
     then t_entry = rng.integers(t_min, t_exit + 1), in row order. This
     reproduces that stream, and leaves `rng` in the state it would, for
-    the PCG64 generator of `np.random.default_rng`: for a range
-    r < 2**32 - 1, numpy takes 32-bit words of its bit generator (the
-    low half of a 64-bit draw, then the buffered high half) and maps a word
-    w to (w * (r + 1)) >> 32, drawing again while the low 32 bits of the
-    product are below (2**32 - (r + 1)) % (r + 1) (Lemire 2019). A zero
+    any numpy bit generator: for a range r < 2**32 - 1, numpy takes 32-bit
+    words, the draws of `rng.integers(0, 2**32, dtype=np.uint32)`, and maps
+    a word w to (w * (r + 1)) >> 32, drawing again while the low 32 bits of
+    the product are below (2**32 - (r + 1)) % (r + 1) (Lemire 2019). A zero
     range draws no word, so a journey with t_exit == t_min takes one word
     and any other two; the journeys' first words follow from that rule
     without a look-ahead. The words up to the first journey that would
@@ -245,15 +244,9 @@ def _journey_words_pass(rng: np.random.Generator, times: np.ndarray, t_min: int,
 
     `rng` is left as the scalar draws of those journeys would leave it.
     """
-    bit_gen = rng.bit_generator
-    saved = bit_gen.state
-    pending = saved["has_uint32"]
-    n_raw = len(times)  # two words per journey at most, one of them maybe the pending half
-    raw = bit_gen.random_raw(n_raw)
-    words = np.empty(pending + 2 * n_raw, dtype=np.uint64)
-    words[:pending] = saved["uinteger"]
-    words[pending::2] = raw & _LOW32
-    words[pending + 1 :: 2] = raw >> np.uint64(32)
+    saved = rng.bit_generator.state
+    # two words per journey at most
+    words = rng.integers(0, 1 << 32, size=2 * len(times), dtype=np.uint32).astype(np.uint64)
 
     span = np.uint64(r + 1)
     exit_m = words * span  # every word read as a t_exit draw; below 2**48
@@ -277,36 +270,11 @@ def _journey_words_pass(rng: np.random.Generator, times: np.ndarray, t_min: int,
     times[:done, 1] = exit_off[:done]
     times[:done] += t_min
 
+    # draw again only the words those journeys read, so numpy keeps any unread half itself
     used = int(starts[done - 1]) + 1 + bool(exit_off[done - 1]) if done else 0
-    bit_gen.state = saved
-    if used <= pending:  # at most the pending half was read
-        bit_gen.state = {**saved, "has_uint32": pending - used}
-    else:  # the last raw draw read keeps its high half buffered, pending if unread
-        n_used = (used - pending + 1) // 2
-        bit_gen.advance(n_used)
-        state = bit_gen.state
-        state["has_uint32"] = (used - pending) % 2
-        state["uinteger"] = int(raw[n_used - 1] >> np.uint64(32))
-        bit_gen.state = state
+    rng.bit_generator.state = saved
+    rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
     return done
-
-
-def _reroute_target(g: Graph, roi: tuple[int, ...], destination: int, dist_from_dest: np.ndarray) -> int:
-    """Open station adjacent to the ROI that is nearest to the original destination."""
-    roi_set = set(roi)
-    adj = g.adjacency
-    candidates = sorted(
-        {
-            int(v)
-            for r in roi
-            for v in np.nonzero(adj[r])[0]
-            if int(v) not in roi_set
-        }
-    )
-    if not candidates:
-        raise ValueError(f"ROI {roi} has no open adjacent station to reroute to")
-    best = min(candidates, key=lambda cand: (dist_from_dest[cand], cand))
-    return best
 
 
 def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
@@ -355,9 +323,12 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
         # one phi draw per affected in-window journey, in row order
         candidates = np.flatnonzero(affected & in_window)
         moved = candidates[rng.random(candidates.size) < s.phi]
-        dests, which = np.unique(d[moved], return_inverse=True)
-        targets = [_reroute_target(g, roi, dest, dist_nat[dest]) for dest in dests.tolist()]
-        perturbed[moved, 1] = np.array(targets, dtype=np.int64)[which]
+        # to the open ROI-adjacent station nearest the destination, the lowest id on ties
+        if moved.size:
+            opens = np.setdiff1d(np.flatnonzero(g.adjacency[list(roi)].any(axis=0)), roi)
+            if not opens.size:
+                raise ValueError(f"ROI {roi} has no open adjacent station to reroute to")
+            perturbed[moved, 1] = opens[np.argmin(dist_nat[np.ix_(d[moved], opens)], axis=1)]
         ground_truth.append(GroundTruthRecord(disruption_id=k, phi=s.phi, scale=1.0 - s.phi))
 
     return SyntheticDataset(

@@ -112,17 +112,26 @@ def feasible_origins(g: Graph, g_disrupted: Graph, destination: int, xi: float) 
     two rules for the cases the pairwise operation rejects:
     the destination itself is always feasible (no travel involved), and
     origins disconnected from the destination in the natural graph are
-    infeasible.
+    infeasible (disconnected in `g_disrupted` too, so their score is NaN).
+    `g_disrupted` must be a subgraph of `g` on the same nodes, as
+    `disrupted_adjacency` builds it; any other graph is refused.
     """
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
     _check_node(g, destination, "destination")
+    if g_disrupted.n_nodes != g.n_nodes:
+        raise ValueError(
+            f"disrupted graph has {g_disrupted.n_nodes} nodes, the natural graph {g.n_nodes}"
+        )
+    extra = np.argwhere(g_disrupted.adjacency > g.adjacency)
+    if len(extra):
+        u, v = extra[0].tolist()
+        raise ValueError(f"disrupted graph has edge ({u}, {v}), which the natural graph lacks")
     dist_nat = bfs_distance(g, destination)
     dist_dis = bfs_distance(g_disrupted, destination)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = 1.0 - dist_nat / dist_dis
     mask = score <= xi  # NaN (both distances infinite) compares False
-    mask[~np.isfinite(dist_nat)] = False
     mask[destination] = True
     return mask
 

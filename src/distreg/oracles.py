@@ -11,6 +11,7 @@ references that tests share (`training_objective`, `detour_score`,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -369,31 +370,42 @@ _DRAW_CASES = [
 ]
 
 
+def _same_state(a, b) -> bool:
+    """Whether two bit generator states are equal; their values may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
 def _draws_suite() -> list[OracleCase]:
     """The generator's journey times and its state after them, against one call per draw.
 
-    Each case starts after a Poisson draw, as a generated day does, and
-    once more after a scalar draw that leaves half of a 64-bit word pending.
+    Each case runs under four of numpy's bit generators. It starts after a
+    Poisson draw, as a generated day does, and once more after a scalar
+    draw, which leaves half of a 64-bit word pending where there is one.
     """
     cases = []
-    for t_min, t_max, count in _DRAW_CASES:
-        for pending in (False, True):
-            fast, slow = np.random.default_rng(20240604), np.random.default_rng(20240604)
-            for rng in (fast, slow):
-                rng.poisson(2.0, size=7)
-                if pending:
-                    rng.integers(0, 10)
-            got = data_io._journey_times(fast, count, t_min, t_max)
-            want = _journey_times_by_call(slow, count, t_min, t_max)
-            same_times = bool(np.array_equal(got, want))
-            same_state = fast.bit_generator.state == slow.bit_generator.state
-            cases.append(
-                OracleCase(
-                    name=f"draws/{t_min}-{t_max}-n{count}" + ("-pending" if pending else ""),
-                    passed=same_times and same_state,
-                    detail=f"times equal={same_times} state equal={same_state}",
-                )
+    bit_generators = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+    for bit_generator, (t_min, t_max, count), pending in itertools.product(
+        bit_generators, _DRAW_CASES, (False, True)
+    ):
+        fast, slow = (np.random.Generator(bit_generator(20240604)) for _ in range(2))
+        for rng in (fast, slow):
+            rng.poisson(2.0, size=7)
+            if pending:
+                rng.integers(0, 10)
+        got = data_io._journey_times(fast, count, t_min, t_max)
+        want = _journey_times_by_call(slow, count, t_min, t_max)
+        same_times = bool(np.array_equal(got, want))
+        same_state = _same_state(fast.bit_generator.state, slow.bit_generator.state)
+        name = f"draws/{bit_generator.__name__}/{t_min}-{t_max}-n{count}"
+        cases.append(
+            OracleCase(
+                name=name + ("-pending" if pending else ""),
+                passed=same_times and same_state,
+                detail=f"times equal={same_times} state equal={same_state}",
             )
+        )
     return cases
 
 

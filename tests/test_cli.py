@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import distreg
 from distreg import oracles
 from distreg.cli import main
 
@@ -87,6 +91,17 @@ class TestSimulate:
         # the same scenario again overwrites its own files
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert dir_digest(out) == before
+
+    def test_roi_without_open_neighbour_exit_2(self, tmp_path, capsys):
+        # a 2-station path: its one link closes both stations, so a moved journey has no target
+        scenario = tmp_path / "scenario.json"
+        spec = {"topology": "path", "n_nodes": 2, "days": 2, "n_disruptions": 1, "phi": 0.5}
+        scenario.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ROI (0, 1) has no open adjacent station to reroute to" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestScore:
@@ -238,6 +253,8 @@ class TestOracle:
         assert main(["oracle", "--suite", "all"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        for bit_generator in ("PCG64", "MT19937", "Philox", "SFC64"):
+            assert f"PASS draws/{bit_generator}/0-239-n3000-pending" in out
 
     def test_individual_suites(self):
         for suite in oracles.SUITES:
@@ -246,6 +263,24 @@ class TestOracle:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["oracle", "--suite", "nonsense"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_key_error_inside_a_suite_is_not_an_unknown_suite(self, monkeypatch, capsys):
+        def suite():
+            raise KeyError("has_uint32")
+
+        monkeypatch.setitem(oracles.SUITES, "draws", suite)
+        assert main(["oracle", "--suite", "draws"]) == 2
+        err = capsys.readouterr().err
+        assert "has_uint32" in err and "unknown oracle suite" not in err
+
+    def test_run_as_module(self):
+        # `python -m distreg.cli` is the same CLI as the `distreg` script
+        path = [str(Path(distreg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = [sys.executable, "-m", "distreg.cli", "oracle", "--suite", "nonsense"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "unknown oracle suite 'nonsense'" in proc.stderr
 
     def test_deterministic_stdout(self, capsys):
         main(["oracle", "--suite", "qp"])

@@ -174,6 +174,15 @@ class TestFeasibleOrigins:
         mask = feasible_origins(TWO_ROUTES, g_dis, 1, xi=0.25)
         assert mask.tolist() == [False, True, False, False, False]
 
+    def test_refuses_a_disrupted_graph_that_is_not_a_subgraph(self):
+        with pytest.raises(ValueError, match="disrupted graph has 3 nodes, the natural graph 5"):
+            feasible_origins(TWO_ROUTES, PATH3, 2, xi=0.4)
+        # an edge the natural graph lacks would shorten a path, not lengthen it
+        adj = TWO_ROUTES.adjacency.copy()
+        adj[0, 4] = adj[4, 0] = 1
+        with pytest.raises(ValueError, match=r"edge \(0, 4\), which the natural graph lacks"):
+            feasible_origins(TWO_ROUTES, Graph(adj), 2, xi=0.4)
+
 
 class TestDisruption:
     def test_basic_fields(self):
