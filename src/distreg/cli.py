@@ -10,6 +10,7 @@ command writes into its input directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, evaluation, oracles, pipeline
-from .network import Disruption
 from .pipeline import InterferenceConfig, PerturbedObservation
-from .regression import MixtureEmbeddingModel, SingularGramError
+from .regression import SingularGramError
 from .simplex_qp import SimplexQPError
 
 USAGE_ERROR = 2
@@ -27,20 +27,15 @@ NUMERICAL_ERROR = 3
 
 
 def _config_for_data(data_dir: Path, config_arg: str | None) -> InterferenceConfig:
-    if config_arg is not None:
-        return data_io.parse_config(config_arg)
-    default = data_dir / "config.txt"
-    if default.exists():
-        return data_io.parse_config(default)
-    return InterferenceConfig()
+    if config_arg is None and not (data_dir / "config.txt").exists():
+        return InterferenceConfig()
+    return data_io.parse_config(data_dir / "config.txt" if config_arg is None else config_arg)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = data_io.load_scenario(args.scenario)
     if args.seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     dataset = data_io.generate_synthetic(scenario)
     cfg = InterferenceConfig(seed=scenario.seed)
     data_io.write_dataset(dataset, args.out, config=cfg)
@@ -62,94 +57,42 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_to_json(model: MixtureEmbeddingModel, cfg: InterferenceConfig) -> dict:
-    return {"alpha": [float(a) for a in model.alpha], "config": data_io.config_to_dict(cfg)}
-
-
-def _model_from_json(raw) -> tuple[MixtureEmbeddingModel, InterferenceConfig]:
-    if not isinstance(raw, dict):
-        raise ValueError(f"model file must hold a JSON object, got {type(raw).__name__}")
-    if not isinstance(raw.get("config"), dict):
-        raise ValueError(f"model \"config\" must be a JSON object, got {raw.get('config')!r}")
-    alpha = raw.get("alpha")
-    if not isinstance(alpha, list) or not all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) for a in alpha
-    ):
-        raise ValueError(f"model \"alpha\" must be a list of numbers, got {alpha!r}")
-    return MixtureEmbeddingModel(alpha=np.array(alpha)), data_io.config_from_dict(raw["config"])
-
-
-# config fields that predict does not read: the ridge enters only training, and
-# predict takes its sampling seed from --seed
-_NOT_READ_BY_PREDICT = ("ridge", "seed")
-
-
-def _ignored_disagreements(stored: InterferenceConfig, given: InterferenceConfig) -> list[str]:
-    """Keys of the fields predict reads on which a --config file differs from the model."""
-    return [
-        key
-        for key, field in data_io.CONFIG_FIELDS.items()
-        if field not in _NOT_READ_BY_PREDICT
-        and not (field == "rho" and given.rho is None)
-        and getattr(given, field) != getattr(stored, field)
-    ]
-
-
-def _natural_days_and_observations(
-    bundle: data_io.DatasetBundle,
-) -> tuple[list, list[PerturbedObservation]]:
+def _cmd_train(args: argparse.Namespace) -> int:
+    bundle = data_io.load_dataset(Path(args.data))
+    cfg = _config_for_data(Path(args.data), args.config)
     naturals = pipeline.natural_pool(bundle.days, bundle.disruptions)
     observations = []
     for z in bundle.disruptions:
         if z.day not in bundle.days:
             raise ValueError(f"no journey data for disruption day {z.day}")
         observations.append(PerturbedObservation.from_day_counts(bundle.days[z.day], z))
-    return naturals, observations
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    bundle = data_io.load_dataset(Path(args.data))
-    cfg = _config_for_data(Path(args.data), args.config)
-    naturals, observations = _natural_days_and_observations(bundle)
     if cfg.rho is None:
         cfg = cfg.with_rho(pipeline.resolve_rho(naturals, observations, bundle.graph, cfg))
     model = pipeline.train(naturals, observations, bundle.graph, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
-    path.write_text(json.dumps(_model_to_json(model, cfg), indent=2, sort_keys=True) + "\n")
+    data_io.write_model(path, model, cfg)
     print(f"trained on {len(observations)} disruptions; wrote {path}")
     return 0
 
 
-def _parse_disruption_spec(spec: str) -> Disruption:
-    parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != 4:
-        raise ValueError(
-            f"disruption spec must be `day,t_start,t_end,roi1;roi2;...`, got {spec!r}"
-        )
-    day, t_start, t_end = (int(p) for p in parts[:3])
-    roi = tuple(int(tok) for tok in parts[3].split(";") if tok != "")
-    return Disruption(day=day, t_start=t_start, t_end=t_end, roi=roi)
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = data_io.load_dataset(Path(args.data))
-    model_path = Path(args.model)
+    model, cfg = data_io.load_model(args.model)
+    fields = args.disruption.split(",")
+    if len(fields) != 4:
+        raise ValueError(
+            f"--disruption: disruption spec must be `day,t_start,t_end,roi1;roi2;...`, "
+            f"got {args.disruption!r}"
+        )
+    z_new = data_io.parse_disruption(
+        dict(zip(("day", "t_start", "t_end", "roi"), fields)), "--disruption"
+    )
     try:
-        model, cfg = _model_from_json(json.loads(model_path.read_text()))
+        z_new.validate_against(bundle.graph.n_nodes, *bundle.t_window)
     except ValueError as exc:
-        raise ValueError(f"{model_path.name}: {exc}") from None
-    if args.config is not None:
-        differing = _ignored_disagreements(cfg, data_io.parse_config(args.config))
-        if differing:
-            print(
-                f"predict: config file disagrees with the stored model config on "
-                f"{', '.join(differing)}; using the model's stored configuration",
-                file=sys.stderr,
-            )
-    z_new = _parse_disruption_spec(args.disruption)
-    z_new.validate_against(bundle.graph.n_nodes, *bundle.t_window)
+        raise ValueError(f"--disruption: {exc}") from None
     naturals = pipeline.natural_pool(bundle.days, bundle.disruptions)
     mixture, samples = pipeline.predict(
         model, naturals, z_new, bundle.graph, cfg, args.n_samples, args.seed
@@ -265,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict one new disruption and sample from it")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--model", required=True, help="model.json from `train`")
     p.add_argument("--out", required=True)
     p.add_argument(
@@ -303,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SimplexQPError, SingularGramError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,7 +11,8 @@ A day's journeys have one form throughout: an int64 (rows, 4) array with
 columns origin, destination, t_entry, t_exit. The generator builds it,
 `write_dataset` writes it as `journeys_day<N>.csv`, `load_journeys` reads
 it back and checks every row in one vectorised pass, and `load_dataset`
-counts each day into a `pipeline.DayCounts`.
+counts each day into a `pipeline.DayCounts`. The module also reads and
+writes `config.txt` and `model.json` (the trained alpha with its config).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .network import Disruption, Graph, bfs_distance, disrupted_adjacency
 from .pipeline import N_TUBE_INPUTS, DayCounts, InterferenceConfig, seed_error
+from .regression import MixtureEmbeddingModel
 
 __all__ = [
     "SyntheticScenario",
@@ -42,6 +44,7 @@ __all__ = [
     "load_scenario",
     "load_journeys",
     "load_journeys_dir",
+    "parse_disruption",
     "load_disruptions",
     "load_graph",
     "load_ground_truth",
@@ -52,11 +55,14 @@ __all__ = [
     "write_config",
     "config_to_dict",
     "config_from_dict",
+    "write_model",
+    "load_model",
     "DatasetBundle",
 ]
 
 _TOPOLOGIES = ("path", "cycle", "grid", "erdos-renyi")
 _JOURNEY_FIELDS = ("origin", "destination", "t_entry", "t_exit")
+_DISRUPTION_FIELDS = ("day", "t_start", "t_end", "roi")
 
 
 @dataclass(frozen=True)
@@ -381,7 +387,7 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
         write_csv(out / f"journeys_day{day}.csv", _JOURNEY_FIELDS, ds.journeys[day].tolist())
     write_csv(
         out / "disruptions.csv",
-        ["day", "t_start", "t_end", "roi"],
+        _DISRUPTION_FIELDS,
         ([z.day, z.t_start, z.t_end, ";".join(str(r) for r in z.roi)] for z in ds.disruptions),
     )
     write_csv(
@@ -400,22 +406,35 @@ def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: Interferenc
 @contextmanager
 def _open_csv(path: Path, required: Sequence[str]) -> Iterator[tuple[list[str], Iterator]]:
     """Open a CSV file and yield its header, checked to name every required
-    column, and a csv.reader over the remaining lines (`line_num` is current)."""
+    column, and its non-blank rows as (line, fields), where line is the one
+    the row starts on (a quoted field may span lines)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise ValueError(f"{path.name}: missing required columns {missing} (header {header})")
-        yield header, reader
+        yield header, _numbered_rows(reader)
+
+
+def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    end = reader.line_num
+    for row in reader:
+        start, end = end + 1, reader.line_num
+        if row:
+            yield start, row
 
 
 def _read_rows(path: Path, required: Sequence[str]) -> list[tuple[str, dict[str, str]]]:
     """Every non-blank row as (where, {column: text}), where names the file and line."""
-    with _open_csv(path, required) as (header, reader):
-        return [
-            (f"{path.name} line {reader.line_num}", dict(zip(header, row))) for row in reader if row
-        ]
+    with _open_csv(path, required) as (header, rows):
+        return [(f"{path.name} line {line}", dict(zip(header, row))) for line, row in rows]
+
+
+def _echo(raw: str) -> str:
+    """A field's text for an error message, cut after 40 characters: a stray quote
+    can make one field of the rest of a file."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
 
 
 def _int_field(row: dict[str, str], key: str, where: str) -> int:
@@ -423,7 +442,7 @@ def _int_field(row: dict[str, str], key: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{where}: bad integer {key}={raw!r}") from None
+        raise ValueError(f"{where}: bad integer {key}={_echo(raw)}") from None
 
 
 def _float_field(row: dict[str, str], key: str, where: str) -> float:
@@ -433,7 +452,7 @@ def _float_field(row: dict[str, str], key: str, where: str) -> float:
     except ValueError:
         value = math.nan  # refused below, with the text as read
     if not math.isfinite(value):
-        raise ValueError(f"{where}: bad number {key}={raw!r}")
+        raise ValueError(f"{where}: bad number {key}={_echo(raw)}")
     return value
 
 
@@ -443,10 +462,10 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
     The columns are origin, destination, t_entry, t_exit; the day comes
     from a `day` column or else the filename's last number. The rows are
     parsed as they are read, then checked in one pass (`_check_journeys`);
-    the first bad row is named by file and line.
+    the first bad row is named by file and the line it starts on.
     """
     path = Path(path)
-    with _open_csv(path, _JOURNEY_FIELDS) as (header, reader):
+    with _open_csv(path, _JOURNEY_FIELDS) as (header, records):
         has_day = "day" in header
         if not has_day:
             matches = re.findall(r"(\d+)", path.stem)
@@ -458,16 +477,14 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
         idx = [column[name] for name in names]
         rows: list[list[int]] = []
         lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
+        for line, row in records:
             try:
                 rows.append([int(row[i]) for i in idx])
             except (ValueError, IndexError):  # name the first bad field (a short row's are blank)
                 _check_journeys(path, rows, lines, n_nodes, len(names))  # an earlier fault first
-                where, by_name = f"{path.name} line {reader.line_num}", dict(zip(header, row))
+                where, by_name = f"{path.name} line {line}", dict(zip(header, row))
                 rows.append([_int_field(by_name, name, where) for name in names])
-            lines.append(reader.line_num)
+            lines.append(line)
     table = _check_journeys(path, rows, lines, n_nodes, len(names))
     cols = table[:, -4:]
     if not has_day:
@@ -483,7 +500,8 @@ def _check_journeys(
 
     A row is refused for a negative id or time, t_exit before t_entry, a
     station id not below `n_nodes` (when given), or a value outside int64;
-    the first such row is named by its file line, `lines[k]` for `rows[k]`.
+    the first such row is named by the file line it starts on, `lines[k]`
+    for `rows[k]`.
     """
     try:
         table = np.array(rows, dtype=np.int64).reshape(-1, width)
@@ -529,44 +547,43 @@ def load_journeys_dir(data_dir: Path | str, n_nodes: int | None = None) -> dict[
     return {day: np.concatenate(p) for day, p in parts.items()}
 
 
+def parse_disruption(row: dict[str, str], where: str) -> Disruption:
+    """One disruption from the text of its day, t_start, t_end and roi (`a;b;...`)
+    fields, as in a disruptions.csv row; every fault is prefixed with `where`."""
+    roi_raw = (row.get("roi") or "").strip()
+    try:
+        roi = tuple(int(tok) for tok in roi_raw.split(";") if tok != "")
+    except ValueError:
+        raise ValueError(f"{where}: bad roi list {_echo(roi_raw)}") from None
+    day, t_start, t_end = (_int_field(row, key, where) for key in _DISRUPTION_FIELDS[:3])
+    try:
+        return Disruption(day=day, t_start=t_start, t_end=t_end, roi=roi)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_disruptions(path: Path | str) -> list[Disruption]:
-    out = []
-    for where, row in _read_rows(Path(path), ["day", "t_start", "t_end", "roi"]):
-        roi_raw = (row.get("roi") or "").strip()
-        try:
-            roi = tuple(int(tok) for tok in roi_raw.split(";") if tok != "")
-        except ValueError:
-            raise ValueError(f"{where}: bad roi list {roi_raw!r}") from None
-        day, t_start, t_end = (_int_field(row, key, where) for key in ("day", "t_start", "t_end"))
-        try:
-            out.append(Disruption(day=day, t_start=t_start, t_end=t_end, roi=roi))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return out
+    rows = _read_rows(Path(path), _DISRUPTION_FIELDS)
+    return [parse_disruption(row, where) for where, row in rows]
 
 
 def load_graph(path: Path | str) -> Graph:
     """Edge-list CSV (`u,v` header). Node count is max id + 1; self/duplicate edges rejected."""
     path = Path(path)
-    edges = []
-    seen = set()
-    max_id = -1
+    edges: set[tuple[int, int]] = set()  # as (lower id, higher id)
     for where, row in _read_rows(path, ["u", "v"]):
-        u = _int_field(row, "u", where)
-        v = _int_field(row, "v", where)
+        u, v = (_int_field(row, name, where) for name in ("u", "v"))
         if u < 0 or v < 0:
             raise ValueError(f"{where}: negative node id")
         if u == v:
             raise ValueError(f"{where}: self edge ({u}, {v})")
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in edges:
             raise ValueError(f"{where}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+        edges.add(key)
+    if not edges:
         raise ValueError(f"{path.name}: empty edge list")
-    return Graph.from_edges(max_id + 1, edges)
+    return Graph.from_edges(max(v for _, v in edges) + 1, edges)
 
 
 def load_ground_truth(path: Path | str) -> list[GroundTruthRecord]:
@@ -628,7 +645,7 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
 
 
 # ---------------------------------------------------------------------------
-# config files
+# config and model files
 
 
 # file key (config.txt and the "config" object of model.json) -> InterferenceConfig
@@ -679,10 +696,7 @@ def _retired_error(key: str, value) -> str | None:
 
 
 def write_config(path: Path | str, cfg: InterferenceConfig) -> None:
-    lines = []
-    for key, field in CONFIG_FIELDS.items():
-        value = getattr(cfg, field)
-        lines.append(f"{key} = {'auto' if value is None else value}")
+    lines = (f"{key} = {'auto' if v is None else v}" for key, v in config_to_dict(cfg).items())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -762,3 +776,26 @@ def config_from_dict(raw: dict) -> InterferenceConfig:
         if error is not None:
             raise ValueError(f"model config {key!r}: {error}")
     return InterferenceConfig(**values)
+
+
+def write_model(path: Path | str, model: MixtureEmbeddingModel, cfg: InterferenceConfig) -> None:
+    """model.json: the trained alpha and the config it was trained with (`config_to_dict`)."""
+    raw = {"alpha": [float(a) for a in model.alpha], "config": config_to_dict(cfg)}
+    Path(path).write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+
+
+def load_model(path: Path | str) -> tuple[MixtureEmbeddingModel, InterferenceConfig]:
+    """Inverse of write_model; every fault is prefixed with the file name."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"model file must hold a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw.get("config"), dict):
+            raise ValueError(f"model \"config\" must be a JSON object, got {raw.get('config')!r}")
+        alpha = raw.get("alpha")
+        if not isinstance(alpha, list) or any(type(a) not in (int, float) for a in alpha):
+            raise ValueError(f"model \"alpha\" must be a list of numbers, got {alpha!r}")
+        return MixtureEmbeddingModel(alpha=np.array(alpha)), config_from_dict(raw["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None

@@ -290,6 +290,11 @@ def run_evaluation(
     scores = score_disruptions(days, disruptions, g, cfg, top_n)
     observations = {r.disruption_id: r.observation for r in scores if r.selected}
     selected_ids = sorted(observations)
+    if not selected_ids:
+        raise ValueError(
+            f"no disruption to evaluate: {len(disruptions)} listed, {len(scores)} scored, "
+            f"none selected (top {top_n})"
+        )
     folds = kfold(selected_ids, n_folds, seed)
 
     cfg_global = cfg

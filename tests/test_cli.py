@@ -250,15 +250,29 @@ class TestMalformedJourneys:
 
 class TestOracle:
     def test_all_suites_pass(self, capsys):
+        # the one run of every suite's cases; each case is named `<suite>/...`
         assert main(["oracle", "--suite", "all"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         for bit_generator in ("PCG64", "MT19937", "Philox", "SFC64"):
             assert f"PASS draws/{bit_generator}/0-239-n3000-pending" in out
+        suites = {line.split()[1].split("/")[0] for line in out.splitlines()}
+        assert suites == set(oracles.SUITES)
 
-    def test_individual_suites(self):
-        for suite in oracles.SUITES:
-            assert main(["oracle", "--suite", suite]) == 0
+    def test_individual_suites(self, monkeypatch, capsys):
+        # dispatch by name, on cheap stand-ins: the real suites run once, in the test above
+        failing = "bfs"
+        lines = {}
+        for name in oracles.SUITES:
+            case = oracles.OracleCase(f"{name}/stub", name != failing, "stub")
+            monkeypatch.setitem(oracles.SUITES, name, lambda case=case: [case])
+            lines[name] = f"{'FAIL' if name == failing else 'PASS'} {name}/stub (stub)"
+        for name, line in lines.items():
+            capsys.readouterr()
+            assert main(["oracle", "--suite", name]) == int(name == failing)
+            assert capsys.readouterr().out == line + "\n"
+        assert main(["oracle", "--suite", "all"]) == 1
+        assert capsys.readouterr().out.splitlines() == list(lines.values())
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["oracle", "--suite", "nonsense"]) == 2
@@ -402,6 +416,21 @@ class TestNoDisruptions:
         assert "Traceback" not in err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("", "0 listed, 0 scored"), ("99,60,180,1;2\n", "1 listed, 0 scored")],
+        ids=["header-only", "day-without-journeys"],
+    )
+    def test_evaluate_says_why(self, dataset, tmp_path, capsys, rows, message):
+        _, _, data = dataset
+        shutil.copytree(data, tmp_path / "data")
+        (tmp_path / "data" / "disruptions.csv").write_text(DISRUPTIONS_HEADER + rows)
+        out = tmp_path / "out"
+        rc, err = run_cli(["evaluate", "--data", str(tmp_path / "data"), "--out", str(out)], capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert f"error: no disruption to evaluate: {message}, none selected (top 20)" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):
@@ -468,21 +497,20 @@ class TestModelFile:
         assert main(train + ["--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "model.json").read_bytes() == model.read_bytes()
 
-    def test_differing_config_reported_and_ignored(self, trained, tmp_path, capsys):
+    def test_predict_has_no_config_option(self, trained, tmp_path, capsys):
         data, model = trained
         main(predict_args(data, model, tmp_path / "plain"))
-        capsys.readouterr()
-        same = tmp_path / "same.txt"  # only fields predict does not read differ; rho is auto
-        same.write_text("kernel.rho = auto\nridge = 0.5\nseed = 3\n")
-        assert main(predict_args(data, model, tmp_path / "same") + ["--config", str(same)]) == 0
-        assert "disagrees" not in capsys.readouterr().err
-        other = tmp_path / "other.txt"
-        other.write_text("R = 3\n")
-        assert main(predict_args(data, model, tmp_path / "other") + ["--config", str(other)]) == 0
-        err = capsys.readouterr().err
-        assert "disagrees with the stored model config on R;" in err
-        for name in ("theta.csv", "samples.csv", "prediction.json"):
-            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        config = tmp_path / "config.txt"
+        config.write_text("R = 3\n")
+        rc, err = run_cli(predict_args(data, model, tmp_path / "p") + ["--config", str(config)], capsys)
+        assert rc == 2 and "unrecognized arguments: --config" in err
+        assert not (tmp_path / "p").exists()
+        # predict reads the model's stored config, never the data directory's config.txt
+        other = tmp_path / "data"
+        shutil.copytree(data, other)
+        (other / "config.txt").write_text("R = 3\n")
+        assert main(predict_args(other, model, tmp_path / "other")) == 0
+        assert dir_digest(tmp_path / "other") == dir_digest(tmp_path / "plain")
 
 
 def run_cli(argv: list, capsys) -> tuple[int, str]:
@@ -566,8 +594,32 @@ BAD_SCENARIO_FIELDS = {
 }
 
 
+# a malformed `predict --disruption` spec (12 stations) -> what the error must say
+BAD_DISRUPTION_SPECS = {
+    "bad-integer": ("99,x,180,1;2", "error: --disruption: bad integer t_start='x'"),
+    "bad-roi-token": ("99,60,180,1;a", "error: --disruption: bad roi list '1;a'"),
+    "empty-roi": ("99,60,180,", "error: --disruption: roi must be non-empty"),
+    "two-fields": ("99,60", "error: --disruption: disruption spec must be `day,t_start,t_end,"),
+    "duplicate-station": ("99,60,180,2;2", "error: --disruption: roi has duplicate stations"),
+    "window-reversed": ("99,180,60,1", "error: --disruption: t_start 180 exceeds t_end 60"),
+    "station-out-of-range": (
+        "99,60,180,1;12", "error: --disruption: roi station 12 out of range for 12 nodes"
+    ),
+}
+
+
 class TestMalformedInput:
     """Every malformed input file or argument exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_DISRUPTION_SPECS))
+    def test_disruption_spec(self, trained, tmp_path, capsys, case):
+        spec, message = BAD_DISRUPTION_SPECS[case]
+        data, model = trained
+        argv = predict_args(data, model, tmp_path / "p")
+        argv[argv.index("--disruption") + 1] = spec
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert message in err and not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_DATASET_FILES))
     def test_dataset_file(self, dataset, tmp_path, capsys, case):

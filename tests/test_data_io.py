@@ -170,6 +170,18 @@ class TestLoadJourneys:
         with pytest.raises(ValueError, match=want):
             load_journeys(p)
 
+    def test_stray_quote_named_by_its_first_line_and_clipped(self, tmp_path):
+        # the quote opens a field that runs to the end of the file
+        rows = "".join(f"{i % 5},{(i + 1) % 5},5,6\n" for i in range(1000))
+        p = write(tmp_path / "journeys_day0.csv", JOURNEYS_HEADER + "1,2,5,6\n" * 3 + '"' + rows)
+        with pytest.raises(ValueError) as info:
+            load_journeys(p, n_nodes=5)
+        field = rows.strip()
+        assert str(info.value) == (
+            f"journeys_day0.csv line 5: bad integer origin={field[:40]!r}... "
+            f"({len(field)} characters)"
+        )
+
     def test_int64_bounds_load(self, tmp_path):
         top = 2**63 - 1
         p = write(
@@ -193,6 +205,15 @@ class TestLoadDisruptions:
         p = write(tmp_path / "disruptions.csv", "day,t_start,t_end,roi\nten,540,600,5;6\n")
         with pytest.raises(ValueError, match=r"^disruptions.csv line 2: bad integer day='ten'$"):
             load_disruptions(p)
+
+    def test_stray_quote_named_by_its_first_line_and_clipped(self, tmp_path):
+        rows = "".join(f"{d},100,200,{d};{d + 1}\n" for d in range(50))
+        p = write(tmp_path / "disruptions.csv", "day,t_start,t_end,roi\n" + '"' + rows)
+        with pytest.raises(ValueError) as info:
+            load_disruptions(p)
+        message = str(info.value)
+        assert message.startswith("disruptions.csv line 2: bad integer day='0,100,200,0;1\\n")
+        assert message.endswith(f"... ({len(rows.strip())} characters)") and len(message) < 120
 
     def test_paper_scale_file_loads(self, tmp_path):
         rows = "\n".join(f"{d % 35},100,200,{d};{d + 1}" for d in range(72))
