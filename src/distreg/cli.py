@@ -62,9 +62,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_for_data(Path(args.data), args.config)
     naturals = pipeline.natural_pool(bundle.days, bundle.disruptions)
     observations = []
-    for z in bundle.disruptions:
+    for z, where in zip(bundle.disruptions, bundle.sources, strict=True):
         if z.day not in bundle.days:
-            raise ValueError(f"no journey data for disruption day {z.day}")
+            raise ValueError(f"{where}: no journey data for disruption day {z.day}")
         observations.append(PerturbedObservation.from_day_counts(bundle.days[z.day], z))
     if cfg.rho is None:
         cfg = cfg.with_rho(pipeline.resolve_rho(naturals, observations, bundle.graph, cfg))

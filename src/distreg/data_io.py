@@ -11,17 +11,23 @@ A day's journeys have one form throughout: an int64 (rows, 4) array with
 columns origin, destination, t_entry, t_exit. The generator builds it,
 `write_dataset` writes it as `journeys_day<N>.csv`, `load_journeys` reads
 it back and checks every row in one vectorised pass, and `load_dataset`
-counts each day into a `pipeline.DayCounts`. The module also reads and
-writes `config.txt` and `model.json` (the trained alpha with its config).
+counts each day into a `pipeline.DayCounts`. A journeys file with exactly
+the header `write_dataset` writes is parsed by numpy's C reader
+(`np.loadtxt`); every other file, and every file that reader refuses or
+that holds a bad row, is read by the `csv` loop, which words every error.
+The module also reads and writes `config.txt` and `model.json` (the
+trained alpha with its config).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -143,12 +149,24 @@ class SyntheticDataset:
 
 @dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    """Loaded on-disk dataset, with journeys aggregated per day."""
+    """Loaded on-disk dataset, with journeys aggregated per day.
+
+    `sources[i]` names where `disruptions[i]` was read, as
+    `disruptions.csv line N`, for errors found after loading.
+    """
 
     graph: Graph
     days: dict[int, DayCounts]
     disruptions: list[Disruption]
     t_window: tuple[int, int]
+    sources: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.sources) != len(self.disruptions):
+            raise ValueError(
+                f"sources must name each of the {len(self.disruptions)} disruptions, "
+                f"got {len(self.sources)}"
+            )
 
 
 def _build_graph(s: SyntheticScenario, rng: np.random.Generator) -> Graph:
@@ -431,10 +449,23 @@ def _read_rows(path: Path, required: Sequence[str]) -> list[tuple[str, dict[str,
         return [(f"{path.name} line {line}", dict(zip(header, row))) for line, row in rows]
 
 
+_ECHO_CHARS = 40
+
+
 def _echo(raw: str) -> str:
     """A field's text for an error message, cut after 40 characters: a stray quote
     can make one field of the rest of a file."""
-    return repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
+    if len(raw) <= _ECHO_CHARS:
+        return repr(raw)
+    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
+
+
+def _clip(text: str) -> str:
+    """`text` for an error message, cut after 40 characters like `_echo`'s field:
+    a model.json value can be a list of any length."""
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def _int_field(row: dict[str, str], key: str, where: str) -> int:
@@ -460,11 +491,64 @@ def load_journeys(path: Path | str, n_nodes: int | None = None) -> dict[int, np.
     """Read one journeys CSV: per day, an int64 (rows, 4) array in file order.
 
     The columns are origin, destination, t_entry, t_exit; the day comes
-    from a `day` column or else the filename's last number. The rows are
-    parsed as they are read, then checked in one pass (`_check_journeys`);
-    the first bad row is named by file and the line it starts on.
+    from a `day` column or else the filename's last number. A file that
+    `write_dataset` could have written is parsed by numpy's C reader
+    (`_journeys_by_loadtxt`); any other file, and any file with a bad row,
+    goes through the `csv` loop (`_journeys_by_csv`), which alone words the
+    errors: the first bad row is named by file and the line it starts on.
     """
     path = Path(path)
+    journeys = _journeys_by_loadtxt(path, n_nodes)
+    return _journeys_by_csv(path, n_nodes) if journeys is None else journeys
+
+
+_JOURNEY_HEADER = ",".join(_JOURNEY_FIELDS)
+
+
+def _journeys_by_loadtxt(path: Path, n_nodes: int | None) -> dict[int, np.ndarray] | None:
+    """`load_journeys` of a file whose header is exactly `origin,destination,t_entry,t_exit`,
+    by `np.loadtxt`, or None where `_journeys_by_csv` must read it instead.
+
+    None for any other header, a filename without a day number, text that
+    does not decode, no data rows (`np.loadtxt` would warn), anything
+    `np.loadtxt` refuses, a table not 4 columns wide (rows all 3 fields
+    long load as 3 columns) and a row that fails a journey check. Every
+    table returned is the one `_journeys_by_csv` reads: where `np.loadtxt`
+    reads a field as an int64, `int()` reads it as the same number. Older
+    numpy reads a float field such as `2.7` into an int64 column by
+    truncation, with only a DeprecationWarning; that warning is raised here,
+    so the file goes to the loop, which refuses the field. With
+    `comments=None`, `#` is part of a field, which both refuse. Quotes,
+    `1_000`, fullwidth digits, values beyond int64 and whitespace-only
+    lines all reach the loop.
+    """
+    days = re.findall(r"(\d+)", path.stem)
+    if not days:
+        return None
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # the loop reports it for the line it reads
+        return None
+    header, _, rows = text.partition("\n")
+    if header.removesuffix("\r") != _JOURNEY_HEADER or not rows.strip("\r\n"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # "integer via a float"
+            table = np.loadtxt(
+                io.StringIO(rows), dtype=np.int64, delimiter=",", ndmin=2, comments=None
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    if table.shape[1] != len(_JOURNEY_FIELDS) or _faulty_journeys(table, n_nodes).any():
+        return None
+    return {int(days[-1]): table}
+
+
+def _journeys_by_csv(path: Path, n_nodes: int | None) -> dict[int, np.ndarray]:
+    """`load_journeys` by the `csv` module: each row parsed as it is read, then
+    all checked in one pass (`_check_journeys`)."""
     with _open_csv(path, _JOURNEY_FIELDS) as (header, records):
         has_day = "day" in header
         if not has_day:
@@ -507,18 +591,24 @@ def _check_journeys(
         table = np.array(rows, dtype=np.int64).reshape(-1, width)
     except OverflowError:  # check as Python ints, then refuse what int64 cannot hold
         table = np.array(rows, dtype=object).reshape(-1, width)
-    o, d, te, tx = table[:, -4:].T
-    bad = (o < 0) | (d < 0) | (te < 0) | (tx < te)
-    if n_nodes is not None:
-        bad |= (o >= n_nodes) | (d >= n_nodes)
-    if table.dtype == object:
-        bad |= ((table < -(2**63)) | (table >= 2**63)).any(axis=1)
+    bad = _faulty_journeys(table, n_nodes)
     if bad.any():
         k = int(np.argmax(bad))
         names = ("day", *_JOURNEY_FIELDS)[-width:]
         row = dict(zip(names, table[k].tolist()))
         raise _bad_journey(row, n_nodes, f"{path.name} line {lines[k]}")
     return table.astype(np.int64, copy=False)
+
+
+def _faulty_journeys(table: np.ndarray, n_nodes: int | None) -> np.ndarray:
+    """Which rows of a journey table, int64 or of Python ints, fail a journey check."""
+    o, d, te, tx = table[:, -4:].T
+    bad = (o < 0) | (d < 0) | (te < 0) | (tx < te)
+    if n_nodes is not None:
+        bad |= (o >= n_nodes) | (d >= n_nodes)
+    if table.dtype == object:
+        bad |= ((table < -(2**63)) | (table >= 2**63)).any(axis=1)
+    return bad
 
 
 def _bad_journey(row: dict[str, int], n_nodes: int | None, where: str) -> ValueError:
@@ -563,8 +653,13 @@ def parse_disruption(row: dict[str, str], where: str) -> Disruption:
 
 
 def load_disruptions(path: Path | str) -> list[Disruption]:
-    rows = _read_rows(Path(path), _DISRUPTION_FIELDS)
-    return [parse_disruption(row, where) for where, row in rows]
+    return [z for _, z in _located_disruptions(Path(path))]
+
+
+def _located_disruptions(path: Path) -> list[tuple[str, Disruption]]:
+    """Each disruption of a disruptions.csv with where it was read (`disruptions.csv line N`)."""
+    rows = _read_rows(path, _DISRUPTION_FIELDS)
+    return [(where, parse_disruption(row, where)) for where, row in rows]
 
 
 def load_graph(path: Path | str) -> Graph:
@@ -630,7 +725,8 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
     graph = load_graph(data_dir / "graph.csv")
     journeys = load_journeys_dir(data_dir, graph.n_nodes)
     disruptions_path = data_dir / "disruptions.csv"
-    disruptions = load_disruptions(disruptions_path) if disruptions_path.exists() else []
+    located = _located_disruptions(disruptions_path) if disruptions_path.exists() else []
+    disruptions = [z for _, z in located]
     t_hi = max(
         [0, *(int(cols[:, 3].max()) for cols in journeys.values()), *(z.t_end for z in disruptions)]
     )
@@ -639,9 +735,18 @@ def load_dataset(data_dir: Path | str) -> DatasetBundle:
         day: DayCounts(day=day, origin=cols[:, 0], destination=cols[:, 1], t_exit=cols[:, 3])
         for day, cols in sorted(journeys.items())
     }
-    for z in disruptions:
-        z.validate_against(graph.n_nodes, *t_window)
-    return DatasetBundle(graph=graph, days=days, disruptions=disruptions, t_window=t_window)
+    for where, z in located:
+        try:
+            z.validate_against(graph.n_nodes, *t_window)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return DatasetBundle(
+        graph=graph,
+        days=days,
+        disruptions=disruptions,
+        t_window=t_window,
+        sources=tuple(where for where, _ in located),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +793,7 @@ def _retired_error(key: str, value) -> str | None:
     accepted = RETIRED_KEYS[key]
     if accepted is None or value in (accepted, str(accepted)):
         return None
-    error = f"{key} = {value}: retired key, only {key} = {accepted} is accepted"
+    error = f"{key} = {_clip(str(value))}: retired key, only {key} = {accepted} is accepted"
     equivalent = _RETIRED_EQUIVALENTS.get((key, str(value)))
     if equivalent is not None:
         error += f"; {equivalent} builds the same features as {value}"
@@ -771,7 +876,7 @@ def config_from_dict(raw: dict) -> InterferenceConfig:
             values[field] = kind(value)
         else:
             expected = _JSON_TYPES[kind] + (" or null" if optional else "")
-            raise ValueError(f"model config {key!r} must be {expected}, got {value!r}")
+            raise ValueError(f"model config {key!r} must be {expected}, got {_clip(repr(value))}")
         error = _field_error(field, values[field])
         if error is not None:
             raise ValueError(f"model config {key!r}: {error}")
@@ -791,11 +896,11 @@ def load_model(path: Path | str) -> tuple[MixtureEmbeddingModel, InterferenceCon
         raw = json.loads(path.read_text())
         if not isinstance(raw, dict):
             raise ValueError(f"model file must hold a JSON object, got {type(raw).__name__}")
-        if not isinstance(raw.get("config"), dict):
-            raise ValueError(f"model \"config\" must be a JSON object, got {raw.get('config')!r}")
-        alpha = raw.get("alpha")
+        config, alpha = raw.get("config"), raw.get("alpha")
+        if not isinstance(config, dict):
+            raise ValueError(f"model \"config\" must be a JSON object, got {_clip(repr(config))}")
         if not isinstance(alpha, list) or any(type(a) not in (int, float) for a in alpha):
-            raise ValueError(f"model \"alpha\" must be a list of numbers, got {alpha!r}")
-        return MixtureEmbeddingModel(alpha=np.array(alpha)), config_from_dict(raw["config"])
+            raise ValueError(f"model \"alpha\" must be a list of numbers, got {_clip(repr(alpha))}")
+        return MixtureEmbeddingModel(alpha=np.array(alpha)), config_from_dict(config)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None

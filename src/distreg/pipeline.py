@@ -84,7 +84,8 @@ class DayCounts:
     aggregates: rows that share an (origin, destination, t_exit) key are
     summed into one (`count` defaults to one journey per row), and the rows
     are sorted by (destination, t_exit, origin), so each station's exits form
-    one contiguous run ordered by exit minute.
+    one contiguous run ordered by exit minute. The four columns are the
+    rows of one (4, rows) table.
     """
 
     day: int
@@ -114,14 +115,13 @@ class DayCounts:
         first = np.ones(o.size, dtype=bool)
         first[1:] = (d[1:] != d[:-1]) | (t[1:] != t[:-1]) | (o[1:] != o[:-1])
         starts = np.flatnonzero(first)
-        columns = {
-            "origin": o[starts],
-            "destination": d[starts],
-            "t_exit": t[starts],
-            "count": np.add.reduceat(c, starts) if starts.size else c,
-        }
-        for name, col in columns.items():
-            col.flags.writeable = False
+        # one table, so that `_window_scan` takes a day's four columns in one slice
+        table = np.empty((4, starts.size), dtype=np.int64)
+        table[0], table[1], table[2] = o[starts], d[starts], t[starts]
+        table[3] = np.add.reduceat(c, starts) if starts.size else c
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
+        for name, col in zip(("origin", "destination", "t_exit", "count"), table):
             object.__setattr__(self, name, col)
         object.__setattr__(self, "day", int(self.day))
 
@@ -230,22 +230,20 @@ def _window_scan(
     its destination-sorted rows, found by a single searchsorted.
     """
     roi = np.asarray(z.roi, dtype=np.int64)
-    lo, hi = int(roi.min()), int(roi.max())
+    lo, hi = min(z.roi), max(z.roi)
     slot = np.full(hi - lo + 1, -1, dtype=np.int64)
     slot[roi - lo] = np.arange(roi.size)
-    rows, dest, t, origin, count = [], [], [], [], []
-    for row, dc in enumerate(days):
-        a, b = np.searchsorted(dc.destination, (lo, hi + 1)).tolist()
-        rows.append(np.full(b - a, row, dtype=np.int64))
-        dest.append(dc.destination[a:b])
-        t.append(dc.t_exit[a:b])
-        origin.append(dc.origin[a:b])
-        count.append(dc.count[a:b])
-    dest, t = np.concatenate(dest), np.concatenate(t)
+    bounds = np.array((lo, hi + 1))
+    sizes, parts = [], []
+    for dc in days:
+        a, b = dc.destination.searchsorted(bounds).tolist()
+        sizes.append(b - a)
+        parts.append(dc._table[:, a:b])
+    origin, dest, t, count = np.concatenate(parts, axis=1)
     j = slot[dest - lo]
     keep = (j >= 0) & (t >= z.t_start) & (t <= z.t_end)
-    cell = np.concatenate(rows)[keep] * roi.size + j[keep]
-    return cell, np.concatenate(origin)[keep], np.concatenate(count)[keep]
+    cell = np.repeat(np.arange(len(days)), sizes)[keep] * roi.size + j[keep]
+    return cell, origin[keep], count[keep]
 
 
 def _cell_totals(cell: np.ndarray, count: np.ndarray, n_days: int, m: int) -> np.ndarray:

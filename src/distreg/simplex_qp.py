@@ -11,6 +11,8 @@ of thousands of iterations.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,21 +122,34 @@ def project_simplex(v) -> np.ndarray:
     n = v.shape[0]
     if n < 1:
         raise ValueError("cannot project an empty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite input")
-    order = np.argsort(-v, kind="stable")
-    u = v[order]
-    css = np.cumsum(u)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    support = np.nonzero(u - (css - 1.0) / j > 0.0)[0]
-    k = int(support[-1])  # support[0] == 0 always holds
-    tau = (css[k] - 1.0) / (k + 1.0)
+    # the solver projects thousands of small vectors per evaluate, so this
+    # calls the array methods directly rather than numpy's Python wrappers
+    u = v[(-v).argsort(kind="stable")]
+    css = u.cumsum()
+    k = int(((u - (css - 1.0) / _ramp(n)) > 0.0).nonzero()[0][-1])  # index 0 always qualifies
+    tau = (float(css[k]) - 1.0) / (k + 1.0)
     return np.maximum(v - tau, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _ramp(n: int) -> np.ndarray:
+    """Read-only float64 vector 1, 2, ..., n."""
+    j = np.arange(1, n + 1, dtype=np.float64)
+    j.flags.writeable = False
+    return j
+
+
+# np.sum forwards to this, bit for bit, after about 1.4 us of argument
+# handling (numpy 2.4), which the QP's thousands of small sums per evaluate
+# would pay each time
+_add = np.add.reduce
 
 
 def _matvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
     # row-wise pairwise reduction instead of BLAS, for reproducibility
-    return np.sum(G * v[None, :], axis=1)
+    return _add(G * v, axis=1)
 
 
 def misfit(G: np.ndarray, b: np.ndarray, theta: np.ndarray, pp: float) -> float:
@@ -144,20 +159,21 @@ def misfit(G: np.ndarray, b: np.ndarray, theta: np.ndarray, pp: float) -> float:
     this is || P - sum_i theta_i mu_i ||^2; with pp = 0 it is the solver's
     objective.
     """
-    return pp - 2.0 * float(np.sum(b * theta)) + float(np.sum(theta * _matvec(G, theta)))
+    return pp - 2.0 * float(_add(b * theta)) + float(_add(theta * _matvec(G, theta)))
 
 
 def _lambda_max_power(G: np.ndarray, iterations: int = 100) -> float:
     n = G.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
+    v = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     for _ in range(iterations):
         w = _matvec(G, v)
-        norm = float(np.sqrt(np.sum(w * w)))
+        # math.sqrt, like np.sqrt, is correctly rounded
+        norm = math.sqrt(float(_add(w * w)))
         if norm <= 0.0:
             return lam
         v = w / norm
-        lam = float(np.sum(v * _matvec(G, v)))
+        lam = float(_add(v * _matvec(G, v)))
     return lam
 
 
@@ -181,9 +197,10 @@ def solve(p: SimplexQPProblem, tol: float = 1e-10, max_iter: int = 50000) -> Sim
     if L <= 1e-12:
         # objective is (numerically) linear; a huge step jumps straight to a vertex
         L = 1e-12
+    b2 = 2.0 * b
 
     def step(v: np.ndarray) -> np.ndarray:
-        return project_simplex(v - (2.0 * _matvec(G, v) - 2.0 * b) / L)
+        return project_simplex(v - (2.0 * _matvec(G, v) - b2) / L)
 
     theta = np.full(n, 1.0 / n)
     obj = misfit(G, b, theta, 0.0)
@@ -205,15 +222,17 @@ def solve(p: SimplexQPProblem, tol: float = 1e-10, max_iter: int = 50000) -> Sim
             assert obj_new <= obj + 1e-9 * (1.0 + abs(obj)), (
                 f"objective increased at iteration {it}: {obj} -> {obj_new}"
             )
-        disp = float(np.sqrt(np.sum((theta_new - base) ** 2)))
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        moved = theta_new - base
+        disp = math.sqrt(float(_add(moved * moved)))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = theta_new + ((t - 1.0) / t_new) * (theta_new - theta) if t > 1.0 else theta_new
         theta, obj, t = theta_new, obj_new, t_new
         if disp <= tol:
             converged = True
             break
-    grad = 2.0 * _matvec(G, theta) - 2.0 * b
-    kkt = float(np.sqrt(np.sum((theta - project_simplex(theta - grad)) ** 2)))
+    grad = 2.0 * _matvec(G, theta) - b2
+    gap = theta - project_simplex(theta - grad)
+    kkt = math.sqrt(float(_add(gap * gap)))
     if not converged:
         raise SimplexQPError(
             f"accelerated projected gradient did not converge in {max_iter} iterations "

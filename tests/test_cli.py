@@ -247,6 +247,20 @@ class TestMalformedJourneys:
         assert f"journeys_day0.csv line 5: {message}" in err
         assert "Traceback" not in err
 
+    def test_score_refuses_a_float_field_under_the_written_header(self, dataset, tmp_path, capsys):
+        # the file numpy's C reader would take, but for one float in an int64 column
+        _, _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        path = bad / "journeys_day0.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "origin,destination,t_entry,t_exit"
+        lines[1] = "2.7,2,3,4"
+        path.write_text("\n".join(lines) + "\n")
+        rc, err = run_cli(["score", "--data", str(bad), "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == 2
+        assert err == "error: journeys_day0.csv line 2: bad integer origin='2.7'\n"
+
 
 class TestOracle:
     def test_all_suites_pass(self, capsys):
@@ -416,6 +430,18 @@ class TestNoDisruptions:
         assert "Traceback" not in err
         assert not (tmp_path / "m").exists()
 
+    def test_train_names_the_disruption_without_journeys(self, dataset, tmp_path, capsys):
+        _, _, data = dataset
+        shutil.copytree(data, tmp_path / "data")
+        listed = (data / "disruptions.csv").read_text()
+        (tmp_path / "data" / "disruptions.csv").write_text(listed + "99,60,180,1;2\n")
+        line = len(listed.splitlines()) + 1
+        argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "m")]
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert err == f"error: disruptions.csv line {line}: no journey data for disruption day 99\n"
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize(
         "rows, message",
         [("", "0 listed, 0 scored"), ("99,60,180,1;2\n", "1 listed, 0 scored")],
@@ -480,6 +506,37 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, key, value, message, tail",
+        [
+            (
+                None, "alpha", [0.5] * 20_000 + ["x"],
+                'model "alpha" must be a list of numbers, got ', "",
+            ),
+            (None, "config", [0.5] * 20_000, 'model "config" must be a JSON object, got ', ""),
+            ("config", "xi", ["x"] * 20_000, "model config 'xi' must be a number, got ", ""),
+            (
+                "config", "I", [5] * 20_000,
+                "model config 'I': I = ", ": retired key, only I = 5 is accepted",
+            ),
+        ],
+        ids=["alpha", "config", "xi", "retired-I"],
+    )
+    def test_long_value_echo_clipped(
+        self, trained, tmp_path, capsys, section, key, value, message, tail
+    ):
+        # a long value is echoed as its first 40 characters and its length, as a CSV field is
+        data, model = trained
+        raw = json.loads(model.read_text())
+        (raw if section is None else raw[section])[key] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(raw))
+        rc, err = run_cli(predict_args(data, bad, tmp_path / "p"), capsys)
+        assert rc == 2 and not (tmp_path / "p").exists()
+        text = repr(value)
+        clipped = f"{text[:40]}... ({len(text)} characters)"
+        assert err == f"error: model.json: {message}{clipped}{tail}\n"
+
     def test_old_format_model_and_config_load(self, trained, tmp_path, capsys):
         data, model = trained
         main(predict_args(data, model, tmp_path / "new"))
@@ -543,6 +600,17 @@ BAD_DATASET_FILES = {
     ),
     "disruptions-roi-out-of-range": (
         "disruptions.csv", DISRUPTIONS_HEADER + "10,60,180,1;12\n", "roi station 12 out of range"
+    ),
+    # found against the graph and the observation window after loading, still named by line
+    "disruptions-roi-out-of-range-line": (
+        "disruptions.csv",
+        DISRUPTIONS_HEADER + "10,60,180,1;2\n\n11,60,180,1;12\n",
+        "error: disruptions.csv line 4: roi station 12 out of range for 12 nodes",
+    ),
+    "disruptions-window-before-observation": (
+        "disruptions.csv",
+        DISRUPTIONS_HEADER + "10,-5,60,1\n",
+        "error: disruptions.csv line 2: disruption window [-5, 60] outside observation window",
     ),
     "disruptions-day-not-an-integer": (
         "disruptions.csv", DISRUPTIONS_HEADER + "ten,60,180,1\n", "line 2: bad integer day='ten'"

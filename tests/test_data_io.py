@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,120 @@ class TestLoadJourneys:
             f"day,origin,destination,t_entry,t_exit\n{-(2**63)},0,1,{top},{top}\n",
         )
         assert as_lists(load_journeys(p)) == {-(2**63): [[0, 1, top, top]]}
+
+
+# a journey field both int() and np.loadtxt read: digits with an optional sign and padding
+PLAIN_FIELD = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "", "", " ", "\t", "\xa0", "\x0c"]),
+    st.sampled_from(["", "", "", "+", "-", "0"]),
+    st.integers(0, 40),
+    st.sampled_from(["", "", "", " ", "\x85"]),
+)
+# fields the two may read differently
+ODD_FIELD = st.one_of(
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(
+        ["", " ", "1_000", "\uff11", '"4"', "5#", "#", "1.0", "2.7", "-0.5", "1.", "1e3", "0x1",
+         "- 1", "+-1",
+         "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+    ),
+    st.text(alphabet=' ",#_+-0129\t\r\n\x0b\x0c\xa0\x85\u2028\uff11', max_size=6),
+)
+
+
+def journey_line(fields: list[str], odd: str, at: int) -> str:
+    return ",".join([*fields[:at], odd, *fields[at + 1 :]])
+
+
+JOURNEY_LINE = st.one_of(
+    st.lists(PLAIN_FIELD, min_size=4, max_size=4).map(",".join),
+    st.builds(
+        journey_line, st.lists(PLAIN_FIELD, min_size=4, max_size=4), ODD_FIELD, st.integers(0, 3)
+    ),
+    st.lists(PLAIN_FIELD, min_size=3, max_size=5).map(",".join),
+    st.sampled_from(["", " ", "\t", "\x0c", "#", "#1,2,3,4"]),
+)
+JOURNEY_BODY = st.lists(
+    st.tuples(JOURNEY_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r"])), max_size=6
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+@pytest.fixture(scope="module")
+def journeys_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "journeys_day3.csv"
+
+
+def refusal(read, *args):
+    """read(*args), or the text of the ValueError it raised."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.sampled_from(
+        ["origin,destination,t_entry,t_exit\n", "origin,destination,t_entry,t_exit\r\n",
+         "origin,destination,t_entry,t_exit\r", "t_exit,origin,destination,t_entry\n"]
+    ),
+    body=JOURNEY_BODY,
+    n_nodes=st.none() | st.integers(1, 40),
+)
+@example(header="origin,destination,t_entry,t_exit\n", body="1,2,3,4\n\n5,6,7,8\r\n", n_nodes=None)
+@example(header="origin,destination,t_entry,t_exit\n", body="1,2,3\n4,5,6\n", n_nodes=None)
+@example(header="origin,destination,t_entry,t_exit\n", body="1,2,3,4 #\n", n_nodes=None)
+@example(header="origin,destination,t_entry,t_exit\n", body="2.7,2,3,4\n", n_nodes=None)
+@example(header="origin,destination,t_entry,t_exit\n", body="\n\r\n", n_nodes=None)
+@example(header="origin,destination,t_entry,t_exit\n", body="1,2,3,4\x0c5,6,7,8\n", n_nodes=None)
+def test_loadtxt_path_reads_a_subset_of_what_the_loop_reads(journeys_path, header, body, n_nodes):
+    """The C-parsed path returns a table only where the csv loop returns the same
+    one, and warns of nothing; load_journeys answers as the loop does: same
+    table or same error. No warning filter is set, as in the CLI."""
+    journeys_path.write_text(header + body, newline="")
+    loop = refusal(data_io._journeys_by_csv, journeys_path, n_nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = data_io._journeys_by_loadtxt(journeys_path, n_nodes)
+    assert not caught, [str(w.message) for w in caught]
+    if fast is not None:
+        assert not isinstance(loop, str), loop
+        assert as_lists(fast) == as_lists(loop)
+    got = refusal(load_journeys, journeys_path, n_nodes)
+    if isinstance(loop, str):
+        assert got == loop
+    else:
+        assert as_lists(got) == as_lists(loop)
+
+
+JOURNEY_HEADER = "origin,destination,t_entry,t_exit"
+
+
+@pytest.mark.parametrize("field", ["2.7", "1.0", "1e3", "-0.5"])
+def test_float_field_refused_as_the_loop_refuses_it(tmp_path, field):
+    # a float in an int64 column goes to the csv loop, which refuses it; no warning
+    # filter is set, as in the CLI, where numpy's warnings are hidden
+    p = write(tmp_path / "journeys_day3.csv", f"{JOURNEY_HEADER}\n0,1,2,3\n{field},2,3,4\n")
+    assert data_io._journeys_by_loadtxt(p, None) is None
+    with pytest.raises(ValueError, match=re.escape(f"line 3: bad integer origin={field!r}")):
+        load_journeys(p)
+
+
+def test_loadtxt_float_as_integer_warning_sends_the_file_to_the_loop(tmp_path, monkeypatch):
+    # older numpy reads "2.7" into an int64 column as 2, warning only that this is deprecated
+    def truncating_loadtxt(*args, **kwargs):
+        warnings.warn(
+            "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
+        )
+        return np.array([[0, 1, 2, 3], [2, 2, 3, 4]], dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    p = write(tmp_path / "journeys_day3.csv", f"{JOURNEY_HEADER}\n0,1,2,3\n2.7,2,3,4\n")
+    assert data_io._journeys_by_loadtxt(p, None) is None
+    with pytest.raises(ValueError, match=re.escape("line 3: bad integer origin='2.7'")):
+        load_journeys(p)
 
 
 class TestLoadDisruptions:

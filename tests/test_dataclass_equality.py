@@ -71,7 +71,11 @@ FACTORIES = {
         graph(), {0: np.zeros((2, 4), dtype=np.int64)}, [], [], (0, 1)
     ),
     "DatasetBundle": lambda: DatasetBundle(
-        graph(), {0: DayCounts(day=0, origin=[0, 1], destination=[1, 0], t_exit=[1, 1])}, [], (0, 1)
+        graph(),
+        {0: DayCounts(day=0, origin=[0, 1], destination=[1, 0], t_exit=[1, 1])},
+        [],
+        (0, 1),
+        (),
     ),
 }
 

@@ -9,6 +9,7 @@ from distreg import GAUSSIAN, LAPLACE, SampleSet, embed
 from distreg.network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from distreg.pipeline import (
     DayCounts,
+    _window_scan,
     InterferenceConfig,
     PerturbedObservation,
     build_basis,
@@ -250,6 +251,52 @@ def test_window_scan_matches_dict_walk(raw_days, roi, window, xi):
     for row, quads in enumerate(raw_days):
         vec = roi_exit_vector(day_counts(z.day, quads), z)
         assert vec.dtype == np.int64 and vec.tolist() == ref[2][row].tolist()
+
+
+def full_mask_scan(days, z):
+    """Reference for `_window_scan`: one boolean mask over every row of every day."""
+    cells, origins, counts = [], [], []
+    for row, dc in enumerate(days):
+        j = np.array([z.roi.index(d) if d in z.roi else -1 for d in dc.destination.tolist()])
+        keep = (j >= 0) & (dc.t_exit >= z.t_start) & (dc.t_exit <= z.t_end)
+        cells.append(row * len(z.roi) + j[keep].astype(np.int64))
+        origins.append(dc.origin[keep])
+        counts.append(dc.count[keep])
+    return tuple(np.concatenate(cols) for cols in (cells, origins, counts))
+
+
+# station ids up to 10**6, sparse, so an ROI station is often absent from a day
+STATION = st.sampled_from([0, 1, 2, 5, 9, 999_999, 10**6])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    raw_days=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 9), STATION, st.integers(0, 9), st.integers(0, 3)),
+            max_size=10,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    roi=st.lists(STATION, min_size=1, max_size=3, unique=True),
+    window=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+)
+@example(raw_days=[[], [], []], roi=[5], window=(0, 9))  # every day empty
+@example(  # the ROI at the largest id, the second day without it
+    raw_days=[[(1, 10**6, 4, 2), (3, 0, 4, 1), (2, 10**6, 9, 1)], [(0, 5, 3, 1)]],
+    roi=[10**6], window=(4, 9),
+)
+@example(  # ROI ends of the id range, unsorted, with stations between them
+    raw_days=[[(0, 10**6, 1, 1), (1, 9, 1, 1), (2, 0, 1, 1), (3, 999_999, 1, 1)]],
+    roi=[10**6, 0], window=(0, 1),
+)
+def test_window_scan_matches_full_mask(raw_days, roi, window):
+    z = Disruption(day=99, t_start=min(window), t_end=max(window), roi=tuple(roi))
+    days = [day_counts(day, quads) for day, quads in enumerate(raw_days)]
+    got, want = _window_scan(days, z), full_mask_scan(days, z)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
 
 
 def observations_for(days, zs):

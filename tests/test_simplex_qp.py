@@ -1,5 +1,7 @@
 """Projection and simplex-QP solver tests, mostly against brute-force oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,33 @@ from distreg.simplex_qp import (
 )
 
 from util import quadratic_objective
+
+
+def blas_free_problems() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Twenty (G, b) problems shaped like the `qp` oracle suite's, from uniform
+    draws, elementwise products and `np.add.reduce` only: ten random Grams of
+    size 2 or 3, then ten of size 4 to 8 with eigenvalues 1 .. 1e-7 and the
+    target near a sparse mixture."""
+    rng = np.random.default_rng(20240602)
+    problems = []
+    for trial in range(10):
+        n = 2 if trial < 6 else 3
+        A = rng.random((n, n)) - 0.5
+        G = np.add.reduce(A[:, :, None] * A[:, None, :], axis=0)  # A.T @ A
+        problems.append((G, rng.random(n) - 0.5))
+    for trial in range(10):
+        n = 4 + trial % 5
+        v = rng.random(n) - 0.5
+        # a Householder reflection: orthogonal, without a QR factorisation
+        Q = np.eye(n) - (2.0 / np.add.reduce(v * v)) * (v[:, None] * v[None, :])
+        eig = np.array([float(f"1e-{round(7 * k / (n - 1))}") for k in range(n)])
+        G = np.add.reduce((Q * eig)[:, None, :] * Q[None, :, :], axis=2)  # Q diag(eig) Q.T
+        G = (G + G.T) / 2.0
+        w = rng.random(n) * (rng.random(n) >= 0.3)
+        w = w / np.add.reduce(w) if w.any() else np.full(n, 1.0 / n)
+        b = np.add.reduce(G * w, axis=1) + 1e-3 * (rng.random(n) - 0.5)
+        problems.append((G, b))
+    return problems
 
 
 class TestProjectSimplex:
@@ -195,6 +224,29 @@ class TestSolve:
             assert sol.kkt_residual <= 1e-8
             total += sol.iterations
         assert total <= 10_000
+
+    def test_problems_solve_to_recorded_bits(self):
+        # sha256 of 20 problems' G and b bytes, and of their solutions' theta
+        # bytes, with the iteration counts, as recorded before the solver called
+        # numpy's ufuncs directly: the same arithmetic in the same order gives the
+        # same bits. The problems are built without BLAS or LAPACK, whose last
+        # bits can vary with the machine, so only the solver is pinned.
+        problems, solutions = hashlib.sha256(), hashlib.sha256()
+        iterations = []
+        for G, b in blas_free_problems():
+            problems.update(G.tobytes() + b.tobytes())
+            sol = solve(SimplexQPProblem(G=G, b=b))
+            solutions.update(sol.theta.tobytes())
+            iterations.append(sol.iterations)
+        assert problems.hexdigest() == (
+            "a653701997ef14f0b3cb7965b1f07f7cc00cce52c22d9d9ed6e57eb6a9ca6703"
+        )
+        assert solutions.hexdigest() == (
+            "322fe063cd0f68e8bd7094ad1abcc2703152565c14b9ffe36e1d11d7c69b5a9a"
+        )
+        assert iterations == [
+            2, 11, 11, 4, 4, 4, 4, 25, 11, 2, 292, 48, 223, 188, 590, 379, 275, 151, 148, 666
+        ]
 
     def test_max_iter_error_carries_diagnostics(self):
         rng = np.random.default_rng(4)
