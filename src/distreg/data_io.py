@@ -446,7 +446,19 @@ def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
 def _read_rows(path: Path, required: Sequence[str]) -> list[tuple[str, dict[str, str]]]:
     """Every non-blank row as (where, {column: text}), where names the file and line."""
     with _open_csv(path, required) as (header, rows):
-        return [(f"{path.name} line {line}", dict(zip(header, row))) for line, row in rows]
+        located = []
+        for line, row in rows:
+            where = f"{path.name} line {line}"
+            located.append((where, _fields(header, row, where)))
+        return located
+
+
+def _fields(header: list[str], row: list[str], where: str) -> dict[str, str]:
+    """A row as {column: text}; a row with more fields than the header is refused.
+    A short row's missing fields are absent, and read as blank."""
+    if len(row) > len(header):
+        raise ValueError(f"{where}: {len(row)} fields, header has {len(header)}")
+    return dict(zip(header, row))
 
 
 _ECHO_CHARS = 40
@@ -563,10 +575,13 @@ def _journeys_by_csv(path: Path, n_nodes: int | None) -> dict[int, np.ndarray]:
         lines: list[int] = []
         for line, row in records:
             try:
+                if len(row) > len(header):
+                    raise ValueError("too many fields")  # worded by `_fields` below
                 rows.append([int(row[i]) for i in idx])
             except (ValueError, IndexError):  # name the first bad field (a short row's are blank)
                 _check_journeys(path, rows, lines, n_nodes, len(names))  # an earlier fault first
-                where, by_name = f"{path.name} line {line}", dict(zip(header, row))
+                where = f"{path.name} line {line}"
+                by_name = _fields(header, row, where)
                 rows.append([_int_field(by_name, name, where) for name in names])
             lines.append(line)
     table = _check_journeys(path, rows, lines, n_nodes, len(names))

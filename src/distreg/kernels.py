@@ -17,9 +17,15 @@ cache-sized block at a time, and the row blocks are split by work across
 one worker thread per usable CPU, each with its own buffers. Neither the
 block height nor the number of workers affects any bit: the summation
 tree depends only on the shapes, so repeated runs give bit-identical
-results on any machine. The bandwidth median, `median_pairwise_distance`,
-searches float64 bit patterns on sorted distinct-row distances, 64 probes
-a round with one `searchsorted` per pool, in about 11 rounds.
+results on any machine.
+
+The bandwidth median, `median_pairwise_distance`, comes in two parts so
+that a caller can keep the costly one: `distance_run` sorts one pool's
+distinct-row distances with their pair counts, and `median_of_runs`
+searches float64 bit patterns over any list of such runs, 64 probes a
+round with one `searchsorted` per run, in about 11 rounds. The median of
+a union of pools is the same bits whether each run is built fresh or
+kept from an earlier call.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ __all__ = [
     "inner",
     "embedding_gram",
     "mmd2",
+    "DistanceRun",
+    "distance_run",
+    "median_of_runs",
     "median_pairwise_distance",
     "rho_from_median",
     "combine",
@@ -522,40 +531,65 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[starts], np.diff(starts, append=X.shape[0]).astype(np.int32)
 
 
-# bit patterns that one bisection round of `median_pairwise_distance` probes
+# bit patterns that one bisection round of `median_of_runs` probes
 _PROBES = 64
 
 
-def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
-    """Median of the union of each pool's within-pool pairwise distances.
+@dataclass(frozen=True, eq=False)
+class DistanceRun:
+    """One pool's within-pool pairwise distances, as `median_of_runs` counts them.
 
-    Equal to `np.median` over the concatenated `pairwise_distances` of
-    every pool, after `subsample_rows`, but that vector is never built.
-    Each pool collapses to its distinct rows with their counts c, and one
+    `dists` holds the distances between the pool's distinct rows, sorted
+    ascending; `upto[i]` is how many of the pool's pairs the first i of them
+    stand for (int32, `upto[0]` = 0); `zeros` counts the pairs of equal rows,
+    whose distance is exactly 0.
+    """
+
+    dists: np.ndarray
+    upto: np.ndarray
+    zeros: int
+
+    @property
+    def pairs(self) -> int:
+        return self.zeros + int(self.upto[-1])
+
+
+def distance_run(pool, family: str = GAUSSIAN) -> DistanceRun:
+    """The `DistanceRun` of one pool, after `subsample_rows`.
+
+    The pool collapses to its distinct rows with their counts c, and one
     `pairwise_distances` call on the distinct rows gives every distance:
     a pair of distinct rows u, v stands for c_u * c_v equal distances, and
     each row for c (c - 1) / 2 exact zeros. Equal rows give bit-identical
-    distances, so the multiset, and the median, is exactly the same. With
-    each pool's distances sorted, the count of distances <= t is the zeros
-    plus one `np.searchsorted` per pool; the k-th smallest is the least t
-    with a count above k. It is found over float64 bit patterns, which
-    sort as non-negative floats do, in rounds that each count at up to 64
-    evenly spaced patterns of the remaining range with one `searchsorted`
-    per pool, so about 11 rounds span the 2**63 patterns.
+    distances, so the multiset is exactly that of `pairwise_distances` on
+    the subsampled pool.
     """
-    runs = []  # per pool: its sorted distances, and at [i] the pair count of the first i
-    zeros = 0
-    for pool in pools:
-        rows, counts = _distinct_rows(subsample_rows(_as_matrix(pool)))
-        dists = pairwise_distances(rows, family)
-        # int32 holds every count: a pool has at most C(1000, 2) pairs after subsample_rows
-        pairs = np.multiply.outer(counts, counts)[_upper_triangle(rows.shape[0])]
-        order = dists.argsort()
-        upto = np.zeros(order.size + 1, dtype=np.int32)
-        np.cumsum(pairs[order], dtype=np.int32, out=upto[1:])
-        runs.append((dists[order], upto))
-        zeros += int((counts * (counts - 1)).sum()) // 2
-    total = zeros + sum(int(upto[-1]) for _, upto in runs)
+    rows, counts = _distinct_rows(subsample_rows(_as_matrix(pool)))
+    dists = pairwise_distances(rows, family)
+    # int32 holds every count: a pool has at most C(1000, 2) pairs after subsample_rows
+    pairs = np.multiply.outer(counts, counts)[_upper_triangle(rows.shape[0])]
+    order = dists.argsort()
+    upto = np.zeros(order.size + 1, dtype=np.int32)
+    np.cumsum(pairs[order], dtype=np.int32, out=upto[1:])
+    dists = dists[order]
+    # read-only: a caller may keep a run and share it between calls
+    dists.flags.writeable = upto.flags.writeable = False
+    return DistanceRun(dists, upto, int((counts * (counts - 1)).sum()) // 2)
+
+
+def median_of_runs(runs: Sequence[DistanceRun]) -> float:
+    """Median of the union of the runs' distances, each counted as often as its run says.
+
+    The count of distances <= t is the zeros plus one `np.searchsorted`
+    per run; the k-th smallest is the least t with a count above k. It is
+    found over float64 bit patterns, which sort as non-negative floats do,
+    in rounds that each count at up to 64 evenly spaced patterns of the
+    remaining range with one `searchsorted` per run, so about 11 rounds
+    span the 2**63 patterns. The counts are sums, so neither the order of
+    the runs nor where each was built changes any bit.
+    """
+    zeros = sum(run.zeros for run in runs)
+    total = sum(run.pairs for run in runs)
     if total == 0:
         raise ValueError("median pairwise distance needs a pool of at least 2 samples")
 
@@ -567,8 +601,8 @@ def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
             probes = np.arange(lo + stride - 1, hi, stride, dtype=np.int64)
             t = probes.view(np.float64)
             count = np.full(probes.size, zeros, dtype=np.int64)
-            for d, upto in runs:
-                count += upto[d.searchsorted(t, "right")]
+            for run in runs:
+                count += run.upto[run.dists.searchsorted(t, "right")]
             above = count > k
             i = int(above.argmax()) if above.any() else probes.size
             if i < probes.size:  # the first probe counting above k
@@ -579,6 +613,16 @@ def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
 
     upper = kth(total // 2)
     return upper if total % 2 else float(np.mean([kth(total // 2 - 1), upper]))
+
+
+def median_pairwise_distance(pools: Sequence, family: str = GAUSSIAN) -> float:
+    """Median of the union of each pool's within-pool pairwise distances.
+
+    Equal to `np.median` over the concatenated `pairwise_distances` of
+    every pool, after `subsample_rows`, but that vector is never built:
+    it is `median_of_runs` over each pool's `distance_run`.
+    """
+    return median_of_runs([distance_run(pool, family) for pool in pools])
 
 
 def rho_from_median(m: float, family: str) -> float:

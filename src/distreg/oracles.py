@@ -23,10 +23,12 @@ from .kernels import (
     LAPLACE,
     KernelConfig,
     SampleSet,
+    distance_run,
     embed,
     eval_kernel,
     gram,
     inner,
+    median_of_runs,
     median_pairwise_distance,
     mmd2,
     pairwise_distances,
@@ -417,7 +419,7 @@ def reference_median(pools, family: str) -> float:
 
 
 def _median_suite() -> list[OracleCase]:
-    """The bandwidth median against `reference_median`."""
+    """The bandwidth median against `reference_median`, fresh and from kept runs."""
     rng = np.random.default_rng(20240606)
     pool_sets = {
         "odd-21": [rng.normal(size=(7, 2))],
@@ -436,6 +438,22 @@ def _median_suite() -> list[OracleCase]:
             cases.append(
                 OracleCase(
                     name=f"median/{label}-{family}",
+                    passed=fast == slow,
+                    detail=f"fast={fast!r} slow={slow!r}",
+                )
+            )
+    # runs kept across calls, as the folds of one evaluation keep them: each pool's
+    # run built once, then combined over overlapping subsets in the folds' orders
+    pools = [p for ps in pool_sets.values() for p in ps]
+    subsets = [(1, 2, 3, 4, 5), (0, 2, 3, 6), (6, 5, 0, 1), (3, 0), (2, 6, 4, 1, 0, 5)]
+    for family in (GAUSSIAN, LAPLACE):
+        runs = [distance_run(p, family) for p in pools]
+        for subset in subsets:
+            fast = median_of_runs([runs[i] for i in subset])
+            slow = reference_median([pools[i] for i in subset], family)
+            cases.append(
+                OracleCase(
+                    name=f"median/kept-runs-{'.'.join(map(str, subset))}-{family}",
                     passed=fast == slow,
                     detail=f"fast={fast!r} slow={slow!r}",
                 )

@@ -25,7 +25,9 @@ with the fitted coefficients and projects the result onto a basis of
 rescaled natural marginals for sampling. Each step builds the features of
 the disruptions it needs from the natural days other than the
 disruption's own, and takes the basis rows from X3, the natural ROI
-window totals.
+window totals. `resolve_rho` can keep each disruption's sorted pool
+distances in a caller's memo, so that the folds of one evaluation build
+every pool once and take each fold's median from the kept runs.
 
 A day's journeys arrive as `DayCounts`, counted from the int64 columns
 origin, destination and t_exit that `data_io.load_journeys` reads and
@@ -47,10 +49,12 @@ import numpy as np
 from .kernels import (
     GAUSSIAN,
     LAPLACE,
+    DistanceRun,
     KernelConfig,
     SampleSet,
+    distance_run,
     embed,
-    median_pairwise_distance,
+    median_of_runs,
     rho_from_median,
 )
 from .network import Disruption, Graph, disrupted_adjacency, feasible_origins
@@ -227,23 +231,28 @@ def _window_scan(
 
     Returns (cell, origin, count) columns with cell = day row * |ROI| + the
     station's index in z.roi. A day's ROI stations all lie in one slice of
-    its destination-sorted rows, found by a single searchsorted.
+    its destination-sorted rows, found by a single searchsorted. The rows
+    inside the window are then looked up in the sorted ROI, so the lookup
+    takes memory by |ROI|, never by the span of its station ids.
     """
     roi = np.asarray(z.roi, dtype=np.int64)
-    lo, hi = min(z.roi), max(z.roi)
-    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
-    slot[roi - lo] = np.arange(roi.size)
-    bounds = np.array((lo, hi + 1))
+    by_id = roi.argsort()
+    roi = roi[by_id]
+    bounds = np.array((roi[0], roi[-1] + 1))
     sizes, parts = [], []
     for dc in days:
         a, b = dc.destination.searchsorted(bounds).tolist()
         sizes.append(b - a)
         parts.append(dc._table[:, a:b])
     origin, dest, t, count = np.concatenate(parts, axis=1)
-    j = slot[dest - lo]
-    keep = (j >= 0) & (t >= z.t_start) & (t <= z.t_end)
-    cell = np.repeat(np.arange(len(days)), sizes)[keep] * roi.size + j[keep]
-    return cell, origin[keep], count[keep]
+    rows = ((t >= z.t_start) & (t <= z.t_end)).nonzero()[0]
+    dest = dest[rows]
+    # every dest lies in [roi[0], roi[-1]], so its insertion point indexes roi
+    at = roi.searchsorted(dest)
+    hit = roi[at] == dest
+    rows = rows[hit]
+    cell = np.repeat(np.arange(len(days)), sizes)[rows] * roi.size + by_id[at[hit]]
+    return cell, origin[rows], count[rows]
 
 
 def _cell_totals(cell: np.ndarray, count: np.ndarray, n_days: int, m: int) -> np.ndarray:
@@ -320,6 +329,8 @@ def resolve_rho(
     observations: Sequence[PerturbedObservation],
     g: Graph,
     cfg: InterferenceConfig,
+    *,
+    memo: dict[PerturbedObservation, DistanceRun] | None = None,
 ) -> float:
     """Median-heuristic bandwidth pooled across disruptions.
 
@@ -329,17 +340,34 @@ def resolve_rho(
     rows; the median is taken over the union of within-disruption
     pairwise distances (dimensions differ across disruptions, distances
     pool fine). It is the exact weighted median over each pool's distinct
-    rows (`kernels.median_pairwise_distance`), found without building the
-    pooled distance vector.
+    rows (`kernels.median_of_runs`), found without building the pooled
+    distance vector.
+
+    `memo` maps an observation (the object itself: observations compare
+    by identity) to its pool's sorted distances (`kernels.distance_run`);
+    a pool is built only for an observation missing from it, and added. An entry depends on the natural days, the
+    graph and every field of `cfg` but rho, so a memo is valid only for
+    calls that pass the same three; `evaluation.run_evaluation` keeps one
+    for the folds of one run. The median, and so rho, is the same bits
+    with or without a memo.
     """
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
-    pools = []
+    memo = {} if memo is None else memo
     for obs in observations:
-        x = _inputs(natural_days, obs.disruption, g, cfg)
-        blocks, _ = _basis_rows(x[2].samples, obs.disruption, cfg)
-        pools.append(np.vstack([*(s.samples for s in x), obs.exit_vector[None, :], *blocks]))
-    return rho_from_median(median_pairwise_distance(pools, cfg.kernel_family), cfg.kernel_family)
+        if obs not in memo:
+            memo[obs] = distance_run(_rho_pool(natural_days, obs, g, cfg), cfg.kernel_family)
+    m = median_of_runs([memo[obs] for obs in observations])
+    return rho_from_median(m, cfg.kernel_family)
+
+
+def _rho_pool(
+    natural_days: Sequence[DayCounts], obs: PerturbedObservation, g: Graph, cfg: InterferenceConfig
+) -> np.ndarray:
+    """One disruption's rows of the bandwidth pool: X1..X5, the observed vector, the basis rows."""
+    x = _inputs(natural_days, obs.disruption, g, cfg)
+    blocks, _ = _basis_rows(x[2].samples, obs.disruption, cfg)
+    return np.vstack([*(s.samples for s in x), obs.exit_vector[None, :], *blocks])
 
 
 def train(

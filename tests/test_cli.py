@@ -261,6 +261,29 @@ class TestMalformedJourneys:
         assert rc == 2
         assert err == "error: journeys_day0.csv line 2: bad integer origin='2.7'\n"
 
+    @pytest.mark.parametrize(
+        "name, line, row, fields",
+        [
+            ("journeys_day0.csv", 2, "1,2,3,4,99", "5 fields, header has 4"),
+            ("graph.csv", 2, "0,1,7", "3 fields, header has 2"),
+            ("disruptions.csv", 2, None, "5 fields, header has 4"),
+        ],
+        ids=["journeys", "graph", "disruptions"],
+    )
+    def test_score_refuses_a_row_longer_than_the_header(
+        self, dataset, tmp_path, capsys, name, line, row, fields
+    ):
+        _, _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        path = bad / name
+        lines = path.read_text().splitlines()
+        lines[line - 1] = row or lines[line - 1] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        rc, err = run_cli(["score", "--data", str(bad), "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == 2
+        assert err == f"error: {name} line {line}: {fields}\n"
+
 
 class TestOracle:
     def test_all_suites_pass(self, capsys):

@@ -134,6 +134,31 @@ class TestLoadJourneys:
         with pytest.raises(ValueError, match=r"line 3: bad integer t_entry=''"):
             load_journeys(p)
 
+    @pytest.mark.parametrize("extra", ["99", ""])
+    def test_long_row_refused(self, tmp_path, extra):
+        # one row too many fields: numpy's reader refuses the file, and the loop names the row
+        p = write(
+            tmp_path / "journeys_day3.csv",
+            f"origin,destination,t_entry,t_exit\n1,2,5,6\n1,2,3,4,{extra}\n",
+        )
+        assert data_io._journeys_by_loadtxt(p, None) is None
+        with pytest.raises(ValueError, match=r"^journeys_day3.csv line 3: 5 fields, header has 4$"):
+            load_journeys(p)
+
+    def test_every_row_long_refused(self, tmp_path):
+        p = write(tmp_path / "journeys_day3.csv", "origin,destination,t_entry,t_exit\n1,2,3,4,99\n")
+        assert data_io._journeys_by_loadtxt(p, None) is None
+        with pytest.raises(ValueError, match=r"^journeys_day3.csv line 2: 5 fields, header has 4$"):
+            load_journeys(p)
+
+    def test_earlier_bad_row_named_before_a_long_row(self, tmp_path):
+        p = write(
+            tmp_path / "journeys_day0.csv",
+            "origin,destination,t_entry,t_exit\n-1,2,5,6\n1,2,3,4,99\n",
+        )
+        with pytest.raises(ValueError, match=r"line 2: negative"):
+            load_journeys(p)
+
     def test_day_column_rows_grouped_in_file_order(self, tmp_path):
         p = write(
             tmp_path / "journeys.csv",

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from distreg import GAUSSIAN, KernelConfig, evaluation, pipeline
+from distreg import GAUSSIAN, KernelConfig, evaluation, kernels, pipeline
 from distreg.data_io import SyntheticScenario, generate_synthetic
 from distreg.evaluation import (
     baseline_model,
@@ -24,7 +24,14 @@ from distreg.evaluation import (
     uniform_simplex,
 )
 from distreg.network import Disruption
-from distreg.pipeline import DayCounts, InterferenceConfig, input_variable_samples, roi_exit_vector
+from distreg.pipeline import (
+    DayCounts,
+    InterferenceConfig,
+    input_variable_samples,
+    natural_pool,
+    resolve_rho,
+    roi_exit_vector,
+)
 from distreg.sampler import Basis
 
 from util import dataset_days, gaussian_set
@@ -401,6 +408,26 @@ class TestRunEvaluation:
         assert [args[1] for args in scans] == ds.disruptions
         assert len(bandwidths) == len(nlls) == 3 * len(records)
         assert len(list(tmp_path.glob("density_*.csv"))) == sum(len(z.roi) for z in ds.disruptions)
+
+    def test_per_fold_rho_builds_each_pool_once(self, monkeypatch):
+        # with 3 folds every selected disruption trains in two of them; its pool
+        # distances are built in the first and kept for the second
+        ds = generate_synthetic(CRITERION_9)
+        days = dataset_days(ds)
+        cfg = InterferenceConfig()
+        distances = counted(monkeypatch, kernels.pairwise_distances)
+        trained = counted(monkeypatch, pipeline.train)
+        scores, records = run_evaluation(
+            days, ds.disruptions, ds.graph, cfg, out_dir=None,
+            n_folds=3, top_n=20, seed=0, n_samples=50,
+        )
+        selected = [r for r in scores if r.selected]
+        assert len(records) == len(selected) == len(ds.disruptions)
+        assert len(distances) == len(selected)
+        assert len(trained) == 3
+        natural_days = natural_pool(days, ds.disruptions)
+        for _, train_obs, _, fold_cfg in trained:
+            assert fold_cfg.rho == resolve_rho(natural_days, train_obs, ds.graph, cfg)
 
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()

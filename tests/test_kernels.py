@@ -29,6 +29,8 @@ from distreg.oracles import _double_sum_inner as double_sum_inner
 from distreg.kernels import (
     Embedding,
     _dists,
+    distance_run,
+    median_of_runs,
     median_pairwise_distance,
     pairwise_distances,
     rho_from_median,
@@ -558,6 +560,27 @@ class TestMedianPairwiseDistance:
     def test_needs_a_pair(self, pools):
         with pytest.raises(ValueError, match="at least 2 samples"):
             median_pairwise_distance(pools)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pools=pool_lists(), family=st.sampled_from([GAUSSIAN, LAPLACE]), data=st.data())
+    def test_kept_runs_give_the_median_of_any_subset(self, pools, family, data):
+        # as the folds of one evaluation do: each pool's run built once, then
+        # combined over overlapping subsets, each in its own order
+        runs = [distance_run(pool, family) for pool in pools]
+        subset = st.permutations(range(len(pools))).flatmap(
+            lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
+        )
+        for picks in data.draw(st.lists(subset, min_size=1, max_size=4)):
+            got = median_of_runs([runs[i] for i in picks])
+            want = median_pairwise_distance([pools[i] for i in picks], family)
+            assert got.hex() == want.hex(), picks
+
+    def test_run_counts_every_pair(self):
+        # distinct rows 0 (twice), 1 (twice) and 3: distances 1, 2 and 3 for 4, 2 and 2 pairs
+        run = distance_run(np.array([[0.0], [0.0], [1.0], [3.0], [1.0]]))
+        assert run.dists.tolist() == [1.0, 2.0, 3.0]
+        assert run.upto.dtype == np.int32 and run.upto.tolist() == [0, 4, 6, 8]
+        assert run.zeros == 2 and run.pairs == 10
 
 
 class TestPairwiseDistances:

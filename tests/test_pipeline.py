@@ -1,5 +1,7 @@
 """Feature-pipeline tests: aggregation, input variables, training, basis, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -297,6 +299,22 @@ def test_window_scan_matches_full_mask(raw_days, roi, window):
     got, want = _window_scan(days, z), full_mask_scan(days, z)
     for a, b in zip(got, want):
         assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
+def test_window_scan_memory_grows_with_the_roi_not_its_id_span():
+    # an ROI at both ends of a million station ids: a lookup table over the
+    # span would take 8 MB
+    z = Disruption(day=99, t_start=0, t_end=9, roi=(0, 10**6))
+    days = [day_counts(d, [(1, 0, 3, 2), (2, 5, 4, 1), (3, 10**6, 5, 1)]) for d in range(3)]
+    _window_scan(days, z)  # first call outside the trace: numpy's own one-time allocations
+    tracemalloc.start()
+    try:
+        cell, origin, count = _window_scan(days, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cell.tolist() == [0, 1, 2, 3, 4, 5] and count.tolist() == [2, 1] * 3
 
 
 def observations_for(days, zs):
