@@ -173,6 +173,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _seed(text: str) -> int:
     value = _int(text)
     if (error := pipeline.seed_error(value)) is not None:
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="observable/severity scores and top-n selection")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output scores.csv path")
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--top", type=_nonnegative_int, default=20)
     p.add_argument("--config", default=None, help="config file (defaults to <data>/config.txt)")
     p.set_defaults(func=_cmd_score)
 
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=_seed, default=None, help="protocol seed (defaults to config seed)"
     )
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--top", type=_nonnegative_int, default=20)
     p.add_argument("--n-samples", type=_positive_int, default=400)
     p.add_argument("--rho-mode", choices=["per-fold", "global"], default="per-fold")
     p.set_defaults(func=_cmd_evaluate)

@@ -281,9 +281,10 @@ def run_evaluation(
     rho_mode picks where an unresolved bandwidth is fitted: "per-fold"
     (training disruptions of each fold; the usual discipline) or
     "global" (all selected disruptions once, as the paper did for speed).
-    Per fold, each disruption's bandwidth pool distances are built by the
-    first fold that trains it and kept for the rest of the run, which
-    holds the natural days, graph and config fixed (`pipeline.resolve_rho`).
+    Each disruption's bandwidth pool distances and its training inputs
+    X1..X5 are built by the first fold that trains it and kept for the
+    rest of the run, which holds the natural days, graph and config fixed
+    (one memo for `pipeline.resolve_rho` and one for `pipeline.train`).
     One failing disruption is reported and skipped without aborting the
     run.
     """
@@ -306,8 +307,10 @@ def run_evaluation(
             resolve_rho(natural_days, [observations[k] for k in selected_ids], g, cfg)
         )
 
-    # each selected disruption's pool distances, built by the first fold that trains it
+    # each selected disruption's pool distances and training inputs, built by the
+    # first fold that trains it
     rho_memo: dict = {}
+    train_memo: dict = {}
     records: list[EvalRecord] = []
     density_grids: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
     for fold_id, (train_ids, test_ids) in enumerate(folds):
@@ -316,7 +319,7 @@ def run_evaluation(
         fold_cfg = cfg_global
         if fold_cfg.rho is None:
             fold_cfg = cfg.with_rho(resolve_rho(natural_days, train_obs, g, cfg, memo=rho_memo))
-        model = train(natural_days, train_obs, g, fold_cfg)
+        model = train(natural_days, train_obs, g, fold_cfg, memo=train_memo)
         for k in test_ids:
             assert k not in train_ids, "out-of-sample discipline violated"
             z = disruptions[k]

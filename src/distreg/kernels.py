@@ -19,6 +19,12 @@ block height nor the number of workers affects any bit: the summation
 tree depends only on the shapes, so repeated runs give bit-identical
 results on any machine.
 
+A Gram of embedding inner products, `embedding_gram`, whose stacked rows
+times stacked columns fit in one block, is filled from one kernel block
+per row embedding against all of its columns, with no `inner` call; each
+entry is summed as `inner` sums it and has its bits. A larger Gram calls
+`inner` once per entry.
+
 The bandwidth median, `median_pairwise_distance`, comes in two parts so
 that a caller can keep the costly one: `distance_run` sorts one pool's
 distinct-row distances with their pair counts, and `median_of_runs`
@@ -283,7 +289,9 @@ class _SmallUfuncBuffer:
     nothing. The buffer size changes no value; numpy keeps it per thread
     (a context variable), and the old size is restored on exit. A class,
     not a generator, because a `with` over it costs about 0.4 us instead
-    of 1.8 us, and `inner` enters it thousands of times per evaluate.
+    of 1.8 us; every `inner`, one-block `embedding_gram` and
+    `pairwise_distances` call enters it, 264 times in a `distreg evaluate`
+    of the criterion-8 grid.
     """
 
     __slots__ = ("size", "old")
@@ -468,14 +476,77 @@ def inner(a: Embedding, b: Embedding) -> float:
     )
 
 
-def embedding_gram(embeddings: Sequence[Embedding]) -> np.ndarray:
-    """Symmetric matrix of <e_i, e_j>: one `inner(e_i, e_j)` call per entry with i <= j."""
-    n = len(embeddings)
-    G = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = G[j, i] = inner(embeddings[i], embeddings[j])
+def embedding_gram(
+    rows: Sequence[Embedding], cols: Sequence[Embedding] | None = None
+) -> np.ndarray:
+    """Matrix of <rows_i, cols_j>; without `cols`, the symmetric Gram of `rows`.
+
+    Every entry has the bits of `inner(rows_i, cols_j)`, a self product
+    (rows_i is cols_j) included; the symmetric Gram computes the entries
+    with j >= i and mirrors them. When the stacked rows times the stacked
+    columns fit in one `_BLOCK_ELEMS` block, the entries come from one
+    `_kernel_matrix` block per row embedding, against all its columns
+    (`_one_block_gram`), and no `inner` call is made. A larger Gram makes
+    one call to the module-level `inner` per entry, which splits each
+    product into row blocks and across threads.
+    """
+    symmetric = cols is None
+    rows = tuple(rows)
+    cols = rows if symmetric else tuple(cols)
+    G = np.zeros((len(rows), len(cols)))
+    if not rows or not cols:
+        return G
+    stacked = sum(len(e.weights) for e in rows) * sum(len(e.weights) for e in cols)
+    if stacked <= _BLOCK_ELEMS:
+        _one_block_gram(rows, cols, symmetric, G)
+        return G
+    for i, a in enumerate(rows):
+        for j in range(i if symmetric else 0, len(cols)):
+            G[i, j] = inner(a, cols[j])
+            if symmetric:
+                G[j, i] = G[i, j]
     return G
+
+
+# np.sum without its Python wrapper: the same reduction, bit for bit
+_add = np.add.reduce
+
+
+def _one_block_gram(
+    rows: tuple[Embedding, ...], cols: tuple[Embedding, ...], symmetric: bool, G: np.ndarray
+) -> None:
+    """Fill G (zeros) with <rows_i, cols_j>, the bits of `inner`, from one block per row.
+
+    Row embedding i gets one `_kernel_matrix` block against the stacked
+    samples of all its columns (those with j >= i when `symmetric`), each
+    column weighted by its embedding's weights. The block's columns of
+    embedding j are then the one block that `inner(rows_i, cols_j)`
+    computes, and each of its rows, contiguous along the summed axis, sums
+    pairwise as there; a self product zeroes its entries j >= i first and
+    reduces as `_self_kernel_sum` does.
+    """
+    for e in rows if symmetric else (*rows, *cols):
+        _check_compatible(rows[0], e)
+    k = rows[0].kernel
+    Y = np.concatenate([e.sample_set.samples for e in cols])
+    wy = np.concatenate([e.weights for e in cols])
+    starts = np.cumsum([0, *(len(e.weights) for e in cols)]).tolist()
+    for i, a in enumerate(rows):
+        j0 = i if symmetric else 0
+        c0 = starts[j0]
+        w = a.weights
+        with _SmallUfuncBuffer(len(w) * (starts[-1] - c0)):
+            block = _kernel_matrix(k, a.sample_set.samples, Y[c0:])
+            np.multiply(block, wy[c0:], out=block)
+        for j in range(j0, len(cols)):
+            part = block[:, starts[j] - c0 : starts[j + 1] - c0]
+            if cols[j] is a:
+                np.copyto(part, 0.0, where=_diagonal_mask(*part.shape))
+                G[i, j] = float(_add(w * (w + 2.0 * _add(part, axis=1))))
+            else:
+                G[i, j] = float(_add(w * _add(part, axis=1)))
+            if symmetric:
+                G[j, i] = G[i, j]
 
 
 def mmd2(a: Embedding, b: Embedding) -> float:

@@ -23,8 +23,10 @@ from .kernels import (
     LAPLACE,
     KernelConfig,
     SampleSet,
+    combine,
     distance_run,
     embed,
+    embedding_gram,
     eval_kernel,
     gram,
     inner,
@@ -157,6 +159,27 @@ def _gram_suite() -> list[OracleCase]:
                 detail=f"fast={fast:.15f} full={full:.15f}",
             )
         )
+    # small Grams, filled from one kernel block per row: a signed combination, and
+    # the first embedding again off the diagonal, whose entries are self products
+    rng = np.random.default_rng(20240604)
+    for family in (GAUSSIAN, LAPLACE):
+        k = KernelConfig(family=family, rho=0.7)
+        rows = [embed(k, SampleSet(rng.normal(size=(3 + i, 2)))) for i in range(3)]
+        rows += [combine(rows[:2], [1.5, -0.25]), rows[0]]
+        cols = (rows[1], embed(k, SampleSet(rng.normal(size=(5, 2)))))
+        for name, G, pairs in (
+            ("symmetric", embedding_gram(rows), [(a, b) for a in rows for b in rows]),
+            ("cols", embedding_gram(rows, cols), [(a, b) for a in rows for b in cols]),
+        ):
+            slow = np.array([_double_sum_inner(k, a, b) for a, b in pairs]).reshape(G.shape)
+            err = float(np.max(np.abs(G - slow)))
+            cases.append(
+                OracleCase(
+                    name=f"gram/embedding-gram-{family}-{name}",
+                    passed=err <= 1e-12,
+                    detail=f"shape={G.shape} max_abs_err={err:.3e}",
+                )
+            )
     return cases
 
 

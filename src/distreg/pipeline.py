@@ -26,8 +26,9 @@ rescaled natural marginals for sampling. Each step builds the features of
 the disruptions it needs from the natural days other than the
 disruption's own, and takes the basis rows from X3, the natural ROI
 window totals. `resolve_rho` can keep each disruption's sorted pool
-distances in a caller's memo, so that the folds of one evaluation build
-every pool once and take each fold's median from the kept runs.
+distances in a caller's memo, and `train` each disruption's X1..X5 in
+another, so that the folds of one evaluation build every pool and every
+training input once.
 
 A day's journeys arrive as `DayCounts`, counted from the int64 columns
 origin, destination and t_exit that `data_io.load_journeys` reads and
@@ -345,11 +346,11 @@ def resolve_rho(
 
     `memo` maps an observation (the object itself: observations compare
     by identity) to its pool's sorted distances (`kernels.distance_run`);
-    a pool is built only for an observation missing from it, and added. An entry depends on the natural days, the
-    graph and every field of `cfg` but rho, so a memo is valid only for
-    calls that pass the same three; `evaluation.run_evaluation` keeps one
-    for the folds of one run. The median, and so rho, is the same bits
-    with or without a memo.
+    a pool is built only for an observation missing from it, and added.
+    An entry depends on the natural days, the graph and every field of
+    `cfg` but rho, so a memo is valid only for calls that pass the same
+    three; `evaluation.run_evaluation` keeps one for the folds of one run.
+    The median, and so rho, is the same bits with or without a memo.
     """
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
@@ -375,6 +376,8 @@ def train(
     observations: Sequence[PerturbedObservation],
     g: Graph,
     cfg: InterferenceConfig,
+    *,
+    memo: dict[PerturbedObservation, tuple[SampleSet, ...]] | None = None,
 ) -> MixtureEmbeddingModel:
     """Fit the mixture-of-embeddings model over all observed disruptions.
 
@@ -382,14 +385,22 @@ def train(
     embedding is the lone kernel atom at that vector. The natural days
     passed in are filtered per disruption so a disruption never sees its
     own day.
+
+    `memo` maps an observation (the object itself) to its inputs X1..X5,
+    which do not depend on rho; they are built only for an observation
+    missing from it, and added. As with `resolve_rho`'s memo, an entry is
+    valid only for calls that pass the same natural days, graph and config
+    but rho; `evaluation.run_evaluation` keeps one for the folds of one
+    run. The model is the same bits with or without a memo.
     """
     if len(observations) == 0:
         raise ValueError("need at least one observed disruption")
     kernel = cfg.kernel()
-    inputs = tuple(
-        tuple(embed(kernel, s) for s in _inputs(natural_days, obs.disruption, g, cfg))
-        for obs in observations
-    )
+    memo = {} if memo is None else memo
+    for obs in observations:
+        if obs not in memo:
+            memo[obs] = _inputs(natural_days, obs.disruption, g, cfg)
+    inputs = tuple(tuple(embed(kernel, s) for s in memo[obs]) for obs in observations)
     outputs = tuple(embed(kernel, SampleSet(obs.exit_vector[None, :])) for obs in observations)
     return fit_mixture_embeddings(TrainingPairs(inputs=inputs, outputs=outputs), ridge=cfg.ridge)
 

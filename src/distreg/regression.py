@@ -181,7 +181,7 @@ def fit_nonparametric(pairs: TrainingPairs, ridge: float | None = 0.0) -> NonPar
 
 def apply_nonparametric(op: NonParametricOperator, q: Embedding) -> Embedding:
     """Apply the fitted operator: sum_k c_k mu_P(k) with c = coeff @ <mu_Q(k), q>."""
-    v = np.array([inner(e, q) for e in op.train_inputs])
+    v = embedding_gram(op.train_inputs, (q,))[:, 0]
     c = np.sum(op.coeff * v[None, :], axis=1)
     return combine(op.train_outputs, c)
 
@@ -208,7 +208,7 @@ def _normal_equations(pairs: TrainingPairs) -> tuple[np.ndarray, np.ndarray]:
     b = np.zeros(I)
     for tup, out in zip(pairs.inputs, pairs.outputs):
         G += embedding_gram(tup)
-        b += [inner(e, out) for e in tup]
+        b += embedding_gram(tup, (out,))[:, 0]
     return G, b
 
 

@@ -96,7 +96,7 @@ def fit_mixture_weights(target: Embedding, basis: Basis) -> FittedMixture:
     if target.dim != basis.dim:
         raise ValueError(f"target dim {target.dim} != basis dim {basis.dim}")
     G = embedding_gram(basis.embeddings)
-    b = np.array([inner(e, target) for e in basis.embeddings])
+    b = embedding_gram(basis.embeddings, (target,))[:, 0]
     sol = solve(SimplexQPProblem(G=G, b=b))
     res2 = misfit(G, b, sol.theta, inner(target, target))
     return FittedMixture(basis=basis, theta=sol.theta, fit_residual=math.sqrt(max(res2, 0.0)))

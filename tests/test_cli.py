@@ -744,8 +744,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, extra, message",
         [
-            ("score", ["--top", "-1"], "cannot select top -1"),
-            ("evaluate", ["--top", "-1"], "cannot select top -1"),
+            ("score", ["--top", "-1"], "--top: must be at least 0, got -1"),
+            ("evaluate", ["--top", "-3"], "--top: must be at least 0, got -3"),
             ("evaluate", ["--n-samples", "0"], "--n-samples: must be at least 1, got 0"),
             ("evaluate", ["--folds", "0"], "--folds: must be at least 1, got 0"),
             ("evaluate", ["--folds", "two"], "--folds: invalid int value: 'two'"),
@@ -758,6 +758,16 @@ class TestMalformedInput:
         rc, err = run_cli([command, "--data", str(data), "--out", str(out)] + extra, capsys)
         assert rc == 2 and "Traceback" not in err
         assert message in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_negative_top_refused_before_loading_data(self, tmp_path, capsys, command):
+        # the data directory does not exist: a refusal that names --top was made
+        # before any file was read
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "missing"), "--out", str(out), "--top", "-1"]
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "--top: must be at least 0, got -1" in err
+        assert "missing" not in err and not out.exists()
 
     def test_predict_n_samples_zero(self, trained, tmp_path, capsys):
         data, model = trained

@@ -429,6 +429,34 @@ class TestRunEvaluation:
         for _, train_obs, _, fold_cfg in trained:
             assert fold_cfg.rho == resolve_rho(natural_days, train_obs, ds.graph, cfg)
 
+    @pytest.mark.parametrize("rho_mode", ["per-fold", "global"])
+    def test_train_builds_each_disruption_features_once(self, monkeypatch, rho_mode):
+        # with 3 folds every selected disruption trains in two of them; train builds
+        # its X1..X5 in the first and keeps them for the second, and every fold's
+        # model is the one a train without a memo fits
+        ds = generate_synthetic(CRITERION_9)
+        features = counted(monkeypatch, pipeline.input_variable_samples)
+        fits = []
+
+        def training(*args, _train=pipeline.train, **kwargs):
+            before = len(features)
+            model = _train(*args, **kwargs)
+            fits.append((args, [call[1] for call in features[before:]], model))
+            return model
+
+        monkeypatch.setattr(evaluation, "train", training)
+        scores, records = run_evaluation(
+            dataset_days(ds), ds.disruptions, ds.graph, InterferenceConfig(), out_dir=None,
+            n_folds=3, top_n=20, seed=0, n_samples=50, rho_mode=rho_mode,
+        )
+        selected = [r.observation.disruption for r in scores if r.selected]
+        assert len(records) == len(selected) == len(ds.disruptions)
+        assert len(fits) == 3
+        built = [z for _, zs, _ in fits for z in zs]
+        assert sorted(built, key=ds.disruptions.index) == selected
+        for args, _, model in fits:
+            assert pipeline.train(*args).alpha.tobytes() == model.alpha.tobytes()
+
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()
         with pytest.raises(ValueError, match="rho_mode"):

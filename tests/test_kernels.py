@@ -358,29 +358,134 @@ class TestInnerWorkers:
             assert inner(a, b) == full_gram_reduction(a, b)
 
 
+def entrywise_gram(rows, cols=None):
+    """embedding_gram by one `inner` call per entry: (i, j), i <= j, mirrored when
+    `cols` is None, else every <rows_i, cols_j>."""
+    n = len(rows)
+    if cols is None:
+        want = [[inner(rows[min(i, j)], rows[max(i, j)]) for j in range(n)] for i in range(n)]
+        return np.array(want, dtype=np.float64).reshape(n, n)
+    want = [[inner(a, b) for b in cols] for a in rows]
+    return np.array(want, dtype=np.float64).reshape(n, len(cols))
+
+
+def counting_inner(monkeypatch) -> list[tuple]:
+    """Rebind the module-level `inner` of `kernels` to a wrapper that records each call."""
+    calls = []
+
+    def counting(a, b, _inner=kernels.inner):
+        calls.append((a, b))
+        return _inner(a, b)
+
+    monkeypatch.setattr(kernels, "inner", counting)
+    return calls
+
+
+# stacked row and column sample counts on either side of one block: 362**2 and
+# 256 * 512 = 2**17 fit, 363**2 and 256 * 513 do not
+ONE_BLOCK = {"symmetric": ([300, 62], None), "cols": ([256], [256, 256])}
+ABOVE_ONE_BLOCK = {"symmetric": ([300, 63], None), "cols": ([256], [256, 257])}
+
+
+def gram_stack(sizes, col_sizes):
+    rng = np.random.default_rng(sum(sizes))
+    rows = [embed(K_L, gaussian_set(rng, 0.1 * n, n, 2)) for n in sizes]
+    if col_sizes is None:
+        return rows, None
+    return rows, [embed(K_L, gaussian_set(rng, 0.5, n, 2)) for n in col_sizes]
+
+
+class TestEmbeddingGramCalls:
+    @pytest.mark.parametrize("case", ABOVE_ONE_BLOCK)
+    def test_one_module_level_inner_call_per_entry_above_one_block(self, monkeypatch, case):
+        sizes, col_sizes = ABOVE_ONE_BLOCK[case]
+        rows, cols = gram_stack(sizes, col_sizes)
+        assert sum(sizes) * sum(col_sizes or sizes) > kernels._BLOCK_ELEMS
+        want = entrywise_gram(rows, cols)
+        calls = counting_inner(monkeypatch)
+        G = embedding_gram(rows, cols)
+        if cols is None:
+            entries = [(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows))]
+        else:
+            entries = [(a, b) for a in rows for b in cols]
+        assert len(calls) == len(entries)
+        assert all(a is x and b is y for (a, b), (x, y) in zip(calls, entries))
+        assert G.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ONE_BLOCK)
+    def test_no_inner_call_within_one_block(self, monkeypatch, case):
+        sizes, col_sizes = ONE_BLOCK[case]
+        rows, cols = gram_stack(sizes, col_sizes)
+        assert sum(sizes) * sum(col_sizes or sizes) <= kernels._BLOCK_ELEMS
+        want = entrywise_gram(rows, cols)
+        calls = counting_inner(monkeypatch)
+        G = embedding_gram(rows, cols)
+        assert calls == []
+        assert G.tobytes() == want.tobytes()
+
+    def test_mismatched_kernel_or_dimension_refused(self):
+        rng = np.random.default_rng(3)
+        a = embed(K_G, gaussian_set(rng, 0.0, 4))
+        with pytest.raises(ValueError, match="kernel mismatch"):
+            embedding_gram([a], [embed(K_L, gaussian_set(rng, 0.0, 4))])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            embedding_gram([a, embed(K_G, gaussian_set(rng, 0.0, 4, 2))])
+
+
+# component sizes around numpy's summation boundaries: summed in order up to 8
+# values, pairwise from 9, split at 129; 300 takes a stack past one block
+GRAM_SIZES = [1, 7, 8, 128, 129, 300]
+
+
+@st.composite
+def gram_stacks(draw):
+    """Rows and columns for `embedding_gram` under one kernel and dimension.
+
+    Components of `GRAM_SIZES` samples with uniform or signed weights; maybe a
+    signed `combine` of two rows, and the first row again off the diagonal;
+    columns drawn from the rows (the same objects) and fresh. The stacks fall on
+    either side of one block, and `rows` may be empty.
+    """
+    family = draw(st.sampled_from([GAUSSIAN, LAPLACE]))
+    k = KernelConfig(family, draw(st.sampled_from([0.05, 0.7, 40.0])))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def component(n):
+        x = SampleSet(rng.normal(scale=2.0, size=(n, dim)))
+        return embed(k, x) if draw(st.booleans()) else Embedding(k, x, rng.normal(size=n))
+
+    rows = [component(n) for n in draw(st.lists(st.sampled_from(GRAM_SIZES), max_size=4))]
+    if len(rows) >= 2 and draw(st.booleans()):
+        rows.append(combine(rows[:2], [1.5, -0.25]))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(1, len(rows))), rows[0])
+    picks = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=3)) if rows else []
+    cols = [rows[i] for i in picks]
+    cols += [component(n) for n in draw(st.lists(st.sampled_from(GRAM_SIZES), max_size=2))]
+    return rows, cols
+
+
 class TestEmbeddingGram:
     @pytest.mark.parametrize("k", [K_G, K_L], ids=["gaussian", "laplace"])
     def test_bits_match_entrywise_inner(self, k):
         rng = np.random.default_rng(12)
         es = [embed(k, gaussian_set(rng, 0.3 * i, 3 + i, 2)) for i in range(5)]
         es.append(combine(es[:2], [1.5, -0.25]))
-        want = np.array(
-            [[inner(es[min(i, j)], es[max(i, j)]) for j in range(6)] for i in range(6)]
-        )
-        assert embedding_gram(es).tobytes() == want.tobytes()
+        assert embedding_gram(es).tobytes() == entrywise_gram(es).tobytes()
 
-    def test_one_module_level_inner_call_per_upper_entry(self, monkeypatch):
-        calls = []
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(stack=gram_stacks())
+    def test_bits_match_entrywise_inner_on_any_stack(self, stack):
+        rows, cols = stack
+        assert embedding_gram(rows).tobytes() == entrywise_gram(rows).tobytes()
+        assert embedding_gram(rows, cols).tobytes() == entrywise_gram(rows, cols).tobytes()
 
-        def counting(a, b, _inner=kernels.inner):
-            calls.append((a, b))
-            return _inner(a, b)
-
-        monkeypatch.setattr(kernels, "inner", counting)
-        es = [embed(K_G, SampleSet(np.array([[float(i)]]))) for i in range(4)]
-        G = embedding_gram(es)
-        assert len(calls) == 4 * 5 // 2
-        assert np.array_equal(G, G.T)
+    def test_empty_rows(self):
+        e = embed(K_G, SampleSet(np.zeros((2, 1))))
+        assert embedding_gram([]).shape == (0, 0)
+        assert embedding_gram([], [e, e]).shape == (0, 2)
+        assert embedding_gram([e], []).shape == (1, 0)
 
 
 class TestMMD2:
