@@ -36,10 +36,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = data_io.load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    dataset = data_io.generate_synthetic(scenario)
+    ds = data_io.generate_synthetic(scenario)
     cfg = InterferenceConfig(seed=scenario.seed)
-    data_io.write_dataset(dataset, args.out, config=cfg)
-    print(f"wrote {len(dataset.journeys)} days, {len(dataset.disruptions)} disruptions to {args.out}")
+    data_io.write_dataset(ds, args.out, config=cfg)
+    print(f"wrote {len(ds.journeys)} days, {len(ds.disruptions)} disruptions to {args.out}")
     return 0
 
 
@@ -166,18 +166,15 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an int no smaller than `lo`."""
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
 
-
-def _nonnegative_int(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="observable/severity scores and top-n selection")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output scores.csv path")
-    p.add_argument("--top", type=_nonnegative_int, default=20)
+    p.add_argument("--top", type=_int_at_least(0), default=20)
     p.add_argument("--config", default=None, help="config file (defaults to <data>/config.txt)")
     p.set_defaults(func=_cmd_score)
 
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--disruption", required=True, help="spec `day,t_start,t_end,roi1;roi2;...`"
     )
-    p.add_argument("--n-samples", type=_positive_int, default=400)
+    p.add_argument("--n-samples", type=_int_at_least(1), default=400)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_predict)
 
@@ -228,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=_positive_int, default=10)
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
     p.add_argument(
         "--seed", type=_seed, default=None, help="protocol seed (defaults to config seed)"
     )
-    p.add_argument("--top", type=_nonnegative_int, default=20)
-    p.add_argument("--n-samples", type=_positive_int, default=400)
+    p.add_argument("--top", type=_int_at_least(0), default=20)
+    p.add_argument("--n-samples", type=_int_at_least(1), default=400)
     p.add_argument("--rho-mode", choices=["per-fold", "global"], default="per-fold")
     p.set_defaults(func=_cmd_evaluate)
 

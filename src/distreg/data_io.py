@@ -383,7 +383,9 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def write_dataset(ds: SyntheticDataset, out_dir: Path | str, config: InterferenceConfig | None = None) -> None:
+def write_dataset(
+    ds: SyntheticDataset, out_dir: Path | str, config: InterferenceConfig | None = None
+) -> None:
     """Write the dataset's CSV files (and config.txt if given) into out_dir.
 
     `load_dataset` reads every journeys*.csv in a directory, so a journeys

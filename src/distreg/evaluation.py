@@ -1,7 +1,7 @@
 """Disruption scoring, model comparison, k-fold protocol, and figure-data export.
 
 Evaluation compares three per-disruption sample models — the fitted
-mixture, the natural-regime baseline, and a uniformly random mixture —
+mixture, the natural-regime baseline (X3), and a uniformly random mixture —
 on negative log-likelihood of the observed exit vector (entry-wise
 Gaussian KDE marginals) and on relative squared error of the mean.
 Every reported number is out of sample: a disruption is only evaluated
@@ -27,7 +27,6 @@ from .pipeline import (
     PerturbedObservation,
     input_variable_samples,
     natural_pool,
-    natural_roi_totals,
     predict,
     resolve_rho,
     train,
@@ -46,7 +45,6 @@ __all__ = [
     "silverman_h",
     "nll",
     "squared_error",
-    "baseline_model",
     "random_model",
     "uniform_simplex",
     "run_evaluation",
@@ -63,6 +61,8 @@ class ScoreRecord:
     selected: bool
     # the disruption day's ROI exit vector the severity was scored on
     observation: PerturbedObservation = field(compare=False, repr=False)
+    # X3, the natural rows whose mean the severity was scored against: the baseline model
+    natural: SampleSet = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,6 @@ def squared_error(model_samples, observed) -> float:
     return float(np.sum((mean - obs) ** 2)) / den
 
 
-def baseline_model(natural_days: Sequence[DayCounts], z: Disruption) -> SampleSet:
-    """The natural regime's own window exit rows (X3), untouched by any training."""
-    return SampleSet(natural_roi_totals(natural_days, z))
-
-
 def uniform_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
     """Flat Dirichlet draw via normalized exponential spacings."""
     u = rng.random(n)
@@ -239,10 +234,11 @@ def score_disruptions(
     """Observable and severity scores for every disruption, with top-n selection flags.
 
     Disruptions whose scores are undefined (no feasible traffic, missing
-    disruption-day data) are reported on stderr and dropped.
+    disruption-day data) are reported on stderr and dropped. Each record
+    keeps the disruption's observed exit vector and its X3 rows.
     """
     natural_days = natural_pool(days, disruptions)
-    scored: list[tuple[int, float, float, PerturbedObservation]] = []
+    scored: list[tuple[int, float, float, PerturbedObservation, SampleSet]] = []
     for k, z in enumerate(disruptions):
         try:
             if z.day not in days:
@@ -254,13 +250,11 @@ def score_disruptions(
         except ValueError as exc:
             print(f"score: skipping disruption {k}: {exc}", file=sys.stderr)
             continue
-        scored.append((k, obs_score, sev, obs))
-    selected = select_top([(k, s) for k, s, _, _ in scored], min(top_n, len(scored)))
+        scored.append((k, obs_score, sev, obs, x3))
+    selected = select_top([(k, s) for k, s, *_ in scored], min(top_n, len(scored)))
     return [
-        ScoreRecord(
-            disruption_id=k, observable=s, severity=sev, selected=k in selected, observation=obs
-        )
-        for k, s, sev, obs in scored
+        ScoreRecord(k, s, sev, k in selected, observation=obs, natural=x3)
+        for k, s, sev, obs, x3 in scored
     ]
 
 
@@ -278,6 +272,10 @@ def run_evaluation(
 ) -> tuple[list[ScoreRecord], list[EvalRecord]]:
     """Full protocol: score, select, k-fold train/predict, compare models, export.
 
+    A test disruption's natural baseline model is the X3 that scoring
+    kept (`ScoreRecord.natural`). Fewer than 2 folds, which leave no
+    training disruption, are refused before any scoring.
+
     rho_mode picks where an unresolved bandwidth is fitted: "per-fold"
     (training disruptions of each fold; the usual discipline) or
     "global" (all selected disruptions once, as the paper did for speed).
@@ -290,10 +288,12 @@ def run_evaluation(
     """
     if rho_mode not in ("per-fold", "global"):
         raise ValueError(f"unknown rho_mode {rho_mode!r}")
+    if n_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
     natural_days = natural_pool(days, disruptions)
     scores = score_disruptions(days, disruptions, g, cfg, top_n)
-    observations = {r.disruption_id: r.observation for r in scores if r.selected}
-    selected_ids = sorted(observations)
+    selected = {r.disruption_id: r for r in scores if r.selected}
+    selected_ids = sorted(selected)
     if not selected_ids:
         raise ValueError(
             f"no disruption to evaluate: {len(disruptions)} listed, {len(scores)} scored, "
@@ -304,7 +304,7 @@ def run_evaluation(
     cfg_global = cfg
     if cfg.rho is None and rho_mode == "global":
         cfg_global = cfg.with_rho(
-            resolve_rho(natural_days, [observations[k] for k in selected_ids], g, cfg)
+            resolve_rho(natural_days, [selected[k].observation for k in selected_ids], g, cfg)
         )
 
     # each selected disruption's pool distances and training inputs, built by the
@@ -315,7 +315,7 @@ def run_evaluation(
     density_grids: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
     for fold_id, (train_ids, test_ids) in enumerate(folds):
         assert not set(train_ids) & set(test_ids), "train/test folds overlap"
-        train_obs = [observations[k] for k in train_ids]
+        train_obs = [selected[k].observation for k in train_ids]
         fold_cfg = cfg_global
         if fold_cfg.rho is None:
             fold_cfg = cfg.with_rho(resolve_rho(natural_days, train_obs, g, cfg, memo=rho_memo))
@@ -323,7 +323,8 @@ def run_evaluation(
         for k in test_ids:
             assert k not in train_ids, "out-of-sample discipline violated"
             z = disruptions[k]
-            obs_vec = observations[k].exit_vector
+            obs_vec = selected[k].observation.exit_vector
+            baseline_samples = selected[k].natural
             try:
                 mixture, model_samples = predict(
                     model,
@@ -334,7 +335,6 @@ def run_evaluation(
                     n_samples,
                     _derived_seed(seed, fold_id, k, 0),
                 )
-                baseline_samples = baseline_model(natural_days, z)
                 random_samples = random_model(
                     mixture.basis, _derived_seed(seed, fold_id, k, 1), n_samples
                 )

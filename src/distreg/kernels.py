@@ -32,6 +32,10 @@ searches float64 bit patterns over any list of such runs, 64 probes a
 round with one `searchsorted` per run, in about 11 rounds. The median of
 a union of pools is the same bits whether each run is built fresh or
 kept from an earlier call.
+
+`eval_kernel`, `gram`, `mmd2` and `median_pairwise_distance` are off the
+path of the main commands; they stay public because `distreg oracle`
+calls them (its `gram` and `median` suites).
 """
 
 from __future__ import annotations
@@ -290,8 +294,8 @@ class _SmallUfuncBuffer:
     (a context variable), and the old size is restored on exit. A class,
     not a generator, because a `with` over it costs about 0.4 us instead
     of 1.8 us; every `inner`, one-block `embedding_gram` and
-    `pairwise_distances` call enters it, 264 times in a `distreg evaluate`
-    of the criterion-8 grid.
+    `pairwise_distances` call enters it, over a thousand times in a
+    `distreg evaluate` of the criterion-8 grid.
     """
 
     __slots__ = ("size", "old")

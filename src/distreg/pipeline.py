@@ -24,11 +24,13 @@ observed disruption-day exit vector, and `predict` combines new inputs
 with the fitted coefficients and projects the result onto a basis of
 rescaled natural marginals for sampling. Each step builds the features of
 the disruptions it needs from the natural days other than the
-disruption's own, and takes the basis rows from X3, the natural ROI
-window totals. `resolve_rho` can keep each disruption's sorted pool
-distances in a caller's memo, and `train` each disruption's X1..X5 in
-another, so that the folds of one evaluation build every pool and every
-training input once.
+disruption's own. X3, the natural ROI window totals, is the one source of
+a disruption's natural rows: `build_basis` rescales it into the sampling
+basis, and `evaluation.score_disruptions` keeps it as the baseline model.
+`resolve_rho` can keep each disruption's sorted pool distances in a
+caller's memo, and `train` each disruption's X1..X5 in another, so that
+the folds of one evaluation build every pool and every training input
+once.
 
 A day's journeys arrive as `DayCounts`, counted from the int64 columns
 origin, destination and t_exit that `data_io.load_journeys` reads and
@@ -59,7 +61,9 @@ from .kernels import (
     rho_from_median,
 )
 from .network import Disruption, Graph, disrupted_adjacency, feasible_origins
-from .regression import MixtureEmbeddingModel, TrainingPairs, fit_mixture_embeddings, predict_embedding
+from .regression import (
+    MixtureEmbeddingModel, TrainingPairs, fit_mixture_embeddings, predict_embedding
+)
 from .sampler import Basis, FittedMixture, fit_mixture_weights, sample_from_mixture
 
 __all__ = [
@@ -68,7 +72,6 @@ __all__ = [
     "PerturbedObservation",
     "roi_exit_vector",
     "natural_pool",
-    "natural_roi_totals",
     "input_variable_samples",
     "resolve_rho",
     "train",
@@ -405,13 +408,6 @@ def train(
     return fit_mixture_embeddings(TrainingPairs(inputs=inputs, outputs=outputs), ridge=cfg.ridge)
 
 
-def natural_roi_totals(natural_days: Sequence[DayCounts], z: Disruption) -> np.ndarray:
-    """Per-day, per-ROI-station window exit totals (the X3 rows), one row per day."""
-    days = _sorted_natural_days(natural_days, z)
-    cell, _, count = _window_scan(days, z)
-    return _cell_totals(cell, count, len(days), len(z.roi))
-
-
 def _basis_rows(
     totals: np.ndarray,
     z: Disruption,
@@ -438,19 +434,16 @@ def _basis_rows(
     return list(blocks), labels
 
 
-def build_basis(
-    natural_days: Sequence[DayCounts],
-    z_new: Disruption,
-    cfg: InterferenceConfig,
-) -> Basis:
+def build_basis(x3: SampleSet, z_new: Disruption, cfg: InterferenceConfig) -> Basis:
     """Rescaled-marginal basis for the output space of a new disruption.
 
-    Component (r, j) holds, per natural day, the ROI-station-j window
-    total scaled by lambda_r and placed on coordinate j (all other
-    coordinates zero), for r = 1..R with lambda_r = 1 + (r - 1) C and
-    C = c * max_j mean-total / (R - 1).
+    `x3` is the disruption's X3, one row of ROI window totals per natural
+    day (`input_variable_samples(...)[2]`). Component (r, j) holds, per
+    natural day, the ROI-station-j total scaled by lambda_r and placed on
+    coordinate j (all other coordinates zero), for r = 1..R with
+    lambda_r = 1 + (r - 1) C and C = c * max_j mean-total / (R - 1).
     """
-    blocks, labels = _basis_rows(natural_roi_totals(natural_days, z_new), z_new, cfg)
+    blocks, labels = _basis_rows(x3.samples, z_new, cfg)
     return Basis(cfg.kernel(), [SampleSet(rows) for rows in blocks], labels)
 
 
@@ -469,7 +462,6 @@ def predict(
     kernel = cfg.kernel()
     x = _inputs(natural_days, z_new, g, cfg)
     predicted = predict_embedding(model, [embed(kernel, s) for s in x])
-    blocks, labels = _basis_rows(x[2].samples, z_new, cfg)
-    basis = Basis(kernel, [SampleSet(rows) for rows in blocks], labels)
+    basis = build_basis(x[2], z_new, cfg)
     mixture = fit_mixture_weights(predicted, basis)
     return mixture, sample_from_mixture(basis, mixture.theta, n_samples, seed)

@@ -747,10 +747,14 @@ class TestMalformedInput:
             ("score", ["--top", "-1"], "--top: must be at least 0, got -1"),
             ("evaluate", ["--top", "-3"], "--top: must be at least 0, got -3"),
             ("evaluate", ["--n-samples", "0"], "--n-samples: must be at least 1, got 0"),
-            ("evaluate", ["--folds", "0"], "--folds: must be at least 1, got 0"),
+            ("evaluate", ["--folds", "0"], "--folds: must be at least 2, got 0"),
+            ("evaluate", ["--folds", "1"], "--folds: must be at least 2, got 1"),
             ("evaluate", ["--folds", "two"], "--folds: invalid int value: 'two'"),
         ],
-        ids=["score-top", "evaluate-top", "evaluate-n-samples", "evaluate-folds", "folds-text"],
+        ids=[
+            "score-top", "evaluate-top", "evaluate-n-samples", "evaluate-folds",
+            "evaluate-one-fold", "folds-text",
+        ],
     )
     def test_count_argument(self, dataset, tmp_path, capsys, command, extra, message):
         _, _, data = dataset

@@ -9,7 +9,6 @@ import pytest
 from distreg import GAUSSIAN, KernelConfig, evaluation, kernels, pipeline
 from distreg.data_io import SyntheticScenario, generate_synthetic
 from distreg.evaluation import (
-    baseline_model,
     kde_log_density,
     kfold,
     nll,
@@ -273,13 +272,28 @@ def counted(monkeypatch, original) -> list[tuple]:
 
 class TestBaselineAndRandomModels:
     def test_baseline_equals_x3_rows(self):
+        # scoring keeps each disruption's X3 bit for bit, and evaluation scores
+        # the baseline model on those rows
         ds, days = small_dataset()
-        z = ds.disruptions[0]
-        naturals = [days[d] for d in range(10)]
-        base = baseline_model(naturals, z)
-        _, _, x3, _, _ = input_variable_samples(naturals, z, ds.graph, InterferenceConfig())
-        assert np.array_equal(base.samples, x3.samples)
-        assert len(base) == 10
+        cfg = InterferenceConfig()
+        naturals = natural_pool(days, ds.disruptions)
+        scores, records = run_evaluation(
+            days, ds.disruptions, ds.graph, cfg, out_dir=None,
+            n_folds=2, top_n=20, seed=0, n_samples=40,
+        )
+        assert len(scores) == len(ds.disruptions)
+        for rec in scores:
+            z = rec.observation.disruption
+            _, _, x3, _, _ = input_variable_samples(naturals, z, ds.graph, cfg)
+            assert rec.natural.samples.shape == x3.samples.shape == (len(naturals), len(z.roi))
+            assert rec.natural.samples.tobytes() == x3.samples.tobytes()
+        assert records
+        natural = {rec.disruption_id: rec.natural for rec in scores}
+        observed = {rec.disruption_id: rec.observation.exit_vector for rec in scores}
+        for r in records:
+            base, obs = natural[r.disruption_id], observed[r.disruption_id]
+            assert r.baseline_nll == nll(base, obs, silverman_h(base))
+            assert r.baseline_se == squared_error(base, obs)
 
     def test_random_model_single_component(self):
         rng = np.random.default_rng(5)
@@ -456,6 +470,29 @@ class TestRunEvaluation:
         assert sorted(built, key=ds.disruptions.index) == selected
         for args, _, model in fits:
             assert pipeline.train(*args).alpha.tobytes() == model.alpha.tobytes()
+
+    @pytest.mark.parametrize("n_folds", [2, 3])
+    def test_natural_days_scanned_once_per_feature_build(self, monkeypatch, n_folds):
+        # X3 comes out of every feature build and the baseline is scoring's X3, so
+        # the window scan runs once per `input_variable_samples` call plus once per
+        # scored disruption day (its observed exit vector), never again for X3
+        ds = generate_synthetic(CRITERION_9)
+        features = counted(monkeypatch, pipeline.input_variable_samples)
+        scans = counted(monkeypatch, pipeline._window_scan)
+        scores, records = run_evaluation(
+            dataset_days(ds), ds.disruptions, ds.graph, InterferenceConfig(), out_dir=None,
+            n_folds=n_folds, top_n=20, seed=0, n_samples=50,
+        )
+        assert len(scores) == len(records) == len(ds.disruptions)
+        assert len(scans) == len(features) + len(scores)
+
+    @pytest.mark.parametrize("n_folds", [1, 0])
+    def test_fewer_than_two_folds_refused_before_scoring(self, monkeypatch, n_folds):
+        ds, days = small_dataset()
+        scored = counted(monkeypatch, evaluation.score_disruptions)
+        with pytest.raises(ValueError, match=f"need at least 2 folds, got {n_folds}"):
+            run_evaluation(days, ds.disruptions, ds.graph, InterferenceConfig(), n_folds=n_folds)
+        assert scored == []
 
     def test_unknown_rho_mode(self):
         ds, days = small_dataset()

@@ -16,7 +16,6 @@ from distreg.pipeline import (
     PerturbedObservation,
     build_basis,
     input_variable_samples,
-    natural_roi_totals,
     predict,
     resolve_rho,
     roi_exit_vector,
@@ -249,7 +248,6 @@ def test_window_scan_matches_dict_walk(raw_days, roi, window, xi):
     x1, x2, x3, _, _ = input_variable_samples(days, z, G7, cfg)
     for got, want in zip((x1, x2, x3), ref):
         assert np.array_equal(got.samples, want)
-    assert np.array_equal(natural_roi_totals(days, z), ref[2])
     for row, quads in enumerate(raw_days):
         vec = roi_exit_vector(day_counts(z.day, quads), z)
         assert vec.dtype == np.int64 and vec.tolist() == ref[2][row].tolist()
@@ -390,8 +388,9 @@ class TestResolveRho:
         parts = []
         for o in obs:
             z = o.disruption
-            inputs = np.vstack([s.samples for s in input_variable_samples(days, z, G5, cfg)])
-            basis = build_basis(days, z, cfg.with_rho(1.0))  # rho does not move the rows
+            sets = input_variable_samples(days, z, G5, cfg)
+            inputs = np.vstack([s.samples for s in sets])
+            basis = build_basis(sets[2], z, cfg.with_rho(1.0))  # rho does not move the rows
             rows = np.vstack([c.samples for c in basis.components])
             parts.append((inputs, o.exit_vector[None, :], rows))
         pools = [np.vstack(p) for p in parts]
@@ -412,20 +411,20 @@ class TestResolveRho:
             resolve_rho(days, obs, G5, CFG)
 
 
+# X3 rows handed to `build_basis`: 4 natural days at the 2 ROI stations of Z
+X3 = SampleSet(np.array([[2.0, 5.0], [3.0, 0.0], [4.0, 7.0], [0.0, 1.0]]))
+
+
 class TestBuildBasis:
     def test_lambda_one_is_unscaled_marginal(self):
-        days = hand_days()
-        cfg = InterferenceConfig(rho=0.05)
-        basis = build_basis(days, Z, cfg)
-        totals = natural_roi_totals(days, Z)
-        assert np.array_equal(basis.components[0].samples[:, 0], totals[:, 0])
+        basis = build_basis(X3, Z, InterferenceConfig(rho=0.05))
+        assert np.array_equal(basis.components[0].samples[:, 0], X3.samples[:, 0])
         assert np.all(basis.components[0].samples[:, 1] == 0.0)
 
     def test_lambda_range_arithmetic(self):
-        days = hand_days()
         cfg = InterferenceConfig(rho=0.05)
-        basis = build_basis(days, Z, cfg)
-        totals = natural_roi_totals(days, Z)
+        basis = build_basis(X3, Z, cfg)
+        totals = X3.samples
         mean_max = float(np.max(np.mean(totals, axis=0)))
         # compare top-level against lambda_1 on the same station marginal
         lam_top = basis.components[-2].samples[:, 0] / np.where(totals[:, 0] == 0, 1, totals[:, 0])
@@ -433,22 +432,18 @@ class TestBuildBasis:
         assert lam_top - 1.0 == pytest.approx(cfg.rescale_span * mean_max, rel=1e-12)
 
     def test_component_count_and_support(self):
-        days = hand_days()
-        cfg = InterferenceConfig(rho=0.05, rescale_levels=3)
-        basis = build_basis(days, Z, cfg)
+        basis = build_basis(X3, Z, InterferenceConfig(rho=0.05, rescale_levels=3))
         assert len(basis) == 3 * 2
         for comp in basis.components:
             assert np.max(np.count_nonzero(comp.samples, axis=1)) <= 1
 
     def test_labels_carry_level_and_station(self):
-        days = hand_days()
-        basis = build_basis(days, Z, InterferenceConfig(rho=0.05, rescale_levels=2))
+        basis = build_basis(X3, Z, InterferenceConfig(rho=0.05, rescale_levels=2))
         assert basis.labels == ("r1_station1", "r1_station2", "r2_station1", "r2_station2")
 
     def test_zero_traffic_rejected(self):
-        days = [day_counts(d, [(0, 0, 5, 1)]) for d in range(3)]
         with pytest.raises(ValueError, match="traffic"):
-            build_basis(days, Z, InterferenceConfig(rho=0.05))
+            build_basis(SampleSet(np.zeros((3, 2))), Z, InterferenceConfig(rho=0.05))
 
 
 class TestPredict:
@@ -476,7 +471,10 @@ class TestPredict:
         kernel = cfg.kernel()
         sets = input_variable_samples(days, z_new, G5, cfg)
         target = embed(kernel, sets[2])
-        basis = build_basis(days, z_new, cfg)
+        basis = build_basis(sets[2], z_new, cfg)
+        assert [c.samples.tobytes() for c in fm.basis.components] == [
+            c.samples.tobytes() for c in basis.components
+        ]
         from distreg.kernels import inner
 
         G = np.array([[inner(a, b) for b in basis.embeddings] for a in basis.embeddings])
