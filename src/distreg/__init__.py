@@ -3,7 +3,7 @@
 Library layout:
 
 - kernels: kernels, Gram matrices, empirical mean embeddings, MMD
-- simplex_qp: accelerated projected-gradient solver on the probability simplex
+- simplex_qp: active-set (Wolfe) solver on the probability simplex
 - regression: the four embedding regression model classes
 - sampler: basis fitting and approximate sampling from an embedding
 - network: graphs, BFS distances, disruptions, detour scores

@@ -342,14 +342,16 @@ def generate_synthetic(s: SyntheticScenario) -> SyntheticDataset:
         dist_dis = np.stack([bfs_distance(g_dis, v) for v in range(n)])
         journeys[day] = perturbed = _natural_day_journeys(rng, rates, s.t_min, s.t_max)
         o, d, t_exit = perturbed[:, 0], perturbed[:, 1], perturbed[:, 3]
-        affected = np.isin(o, roi) | np.isin(d, roi) | (dist_dis[o, d] > dist_nat[o, d])
+        in_roi = np.zeros(n, dtype=bool)
+        in_roi[list(roi)] = True
+        affected = in_roi[o] | in_roi[d] | (dist_dis[o, d] > dist_nat[o, d])
         in_window = (t_start <= t_exit) & (t_exit <= t_end)
         # one phi draw per affected in-window journey, in row order
         candidates = np.flatnonzero(affected & in_window)
         moved = candidates[rng.random(candidates.size) < s.phi]
         # to the open ROI-adjacent station nearest the destination, the lowest id on ties
         if moved.size:
-            opens = np.setdiff1d(np.flatnonzero(g.adjacency[list(roi)].any(axis=0)), roi)
+            opens = np.flatnonzero(g.adjacency[list(roi)].any(axis=0) & ~in_roi)
             if not opens.size:
                 raise ValueError(f"ROI {roi} has no open adjacent station to reroute to")
             perturbed[moved, 1] = opens[np.argmin(dist_nat[np.ix_(d[moved], opens)], axis=1)]

@@ -130,6 +130,24 @@ def kfold(selected: Sequence[int], k: int, seed: int) -> list[tuple[list[int], l
     return folds
 
 
+def _linear_quantile(s: np.ndarray, q: float) -> float:
+    """np.quantile(s, q) of a sorted vector without NaN, bit for bit, by numpy's linear method.
+
+    numpy finds s at the virtual index (n - 1) q, takes the last entry from
+    n - 1 on, and interpolates between the two neighbours a, b with weight
+    g as a + (b - a) g below g = 0.5 and b - (b - a)(1 - g) from there.
+    Calling np.percentile instead imports numpy.ma, about 12 ms of each
+    process. (A NaN column gives silverman_h sigma = 1 through its NaN
+    standard deviation, whatever its quartiles.)
+    """
+    n = s.shape[0]
+    v = (n - 1) * q
+    i = math.floor(v) if v < n - 1 else -1
+    a, b = float(s[i]), float(s[i + 1 if i >= 0 else -1])
+    g = v - i
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def silverman_h(samples) -> np.ndarray:
     """Per-coordinate KDE precision h = 1 / (2 sigma^2), sigma by Silverman's rule.
 
@@ -142,8 +160,8 @@ def silverman_h(samples) -> np.ndarray:
     for j in range(arr.shape[1]):
         col = arr[:, j]
         std = float(np.std(col, ddof=1)) if n > 1 else 0.0
-        q75, q25 = np.percentile(col, [75, 25])
-        iqr = float(q75 - q25)
+        ordered = np.sort(col)
+        iqr = _linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25)
         sigma = 0.9 * min(std, iqr / 1.34 if iqr > 0 else np.inf) * n ** (-0.2)
         if not sigma > 0:
             sigma = 1.0

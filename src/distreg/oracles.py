@@ -203,7 +203,10 @@ def _support_enumeration_min(G: np.ndarray, b: np.ndarray) -> float:
 
     For each nonempty support S, the stationary point of the objective on
     {theta_S . 1 = 1} solves a (|S|+1)-square KKT system; the optimum is the
-    best of those points that are nonnegative.
+    best of those points that are nonnegative. A support whose system is
+    singular is skipped: the objective is then linear or constant along a
+    direction of its affine hull, so its minimum on the simplex lies on a
+    smaller support, which is tried too.
     """
     n = b.shape[0]
     best = np.inf
@@ -214,7 +217,10 @@ def _support_enumeration_min(G: np.ndarray, b: np.ndarray) -> float:
         K[:k, :k] = 2.0 * G[np.ix_(S, S)]
         K[:k, k] = 1.0
         K[k, :k] = 1.0
-        sol = np.linalg.solve(K, np.append(2.0 * b[S], 1.0))
+        try:
+            sol = np.linalg.solve(K, np.append(2.0 * b[S], 1.0))
+        except np.linalg.LinAlgError:
+            continue
         if np.min(sol[:k]) < 0.0:
             continue
         theta = np.zeros(n)
@@ -264,6 +270,41 @@ def _qp_suite() -> list[OracleCase]:
                 detail=f"gap={gap:.3e} kkt={sol.kkt_residual:.3e} iterations={sol.iterations}",
             )
         )
+    # a basis holding one component three times, the limit of near-duplicate
+    # basis components: the KKT system on two copies is singular, or nearly so
+    # when SimplexQPProblem adds 1e-8 I to a Gram that rounds below PSD
+    A = rng.normal(size=(3, 4))[:, [0, 1, 0, 2, 0]]
+    G = A.T @ A
+    target = A @ np.array([0.2, 0.3, 0.0, 0.5, 0.0])
+    p = simplex_qp.SimplexQPProblem(G=(G + G.T) / 2.0, b=A.T @ target)
+    sol = simplex_qp.solve(p)
+    gap = sol.objective - _support_enumeration_min(p.G, p.b)
+    cases.append(
+        OracleCase(
+            name="qp/duplicate-components",
+            passed=abs(gap) <= 1e-9 and sol.kkt_residual <= 1e-8,
+            detail=f"gap={gap:.3e} kkt={sol.kkt_residual:.3e} iterations={sol.iterations}",
+        )
+    )
+    # G = a a^T, b = t a: points a_i on a line, target t, so the optimum is
+    # (c - t)^2 - t^2 with c the point of [min a, max a] nearest t, up to the
+    # 1e-8 I that SimplexQPProblem adds when rounding makes G's least
+    # eigenvalue negative; the enumeration sees the same G as the solver
+    a = rng.normal(size=6)
+    t = float(np.mean(a[:2]))
+    p = simplex_qp.SimplexQPProblem(G=np.outer(a, a), b=t * a)
+    sol = simplex_qp.solve(p)
+    c = min(max(t, float(np.min(a))), float(np.max(a)))
+    gap = sol.objective - _support_enumeration_min(p.G, p.b)
+    closed = sol.objective - ((c - t) ** 2 - t**2)
+    cases.append(
+        OracleCase(
+            name="qp/rank-one",
+            passed=abs(gap) <= 1e-12 and abs(closed) <= 1e-8 and sol.kkt_residual <= 1e-12,
+            detail=f"gap={gap:.3e} closed-form gap={closed:.3e} kkt={sol.kkt_residual:.3e} "
+            f"iterations={sol.iterations}",
+        )
+    )
     return cases
 
 

@@ -1,12 +1,13 @@
 """Deterministic solver for min theta^T G theta - 2 b^T theta on the probability simplex.
 
-Accelerated projected gradient (FISTA) with a 1/L step, L estimated by
-power iteration, and a restart that keeps the objective monotone. Sizes
-here are small (mixture weights, at most a few hundred components), so a
-first-order method with a projection-based KKT certificate is fast enough
-and easy to audit; the acceleration matters for the ill-conditioned Grams
-of near-duplicate basis components, where the plain 1/L step needs tens
-of thousands of iterations.
+An active-set (Wolfe) solver: the nearest point of the convex hull of the
+basis embeddings, found exactly in a finite number of cycles, each of which
+solves one small KKT system on the current support. Sizes here are small
+(mixture weights, at most a few hundred components, with solutions on a
+few), so the (|F|+1)-square systems are solved by a Gaussian elimination in
+elementwise numpy, with no LAPACK or BLAS, and the solution's bits do not
+depend on the linear-algebra build. Every solution carries a
+projection-based KKT certificate.
 """
 
 from __future__ import annotations
@@ -162,88 +163,139 @@ def misfit(G: np.ndarray, b: np.ndarray, theta: np.ndarray, pp: float) -> float:
     return pp - 2.0 * float(_add(b * theta)) + float(_add(theta * _matvec(G, theta)))
 
 
-def _lambda_max_power(G: np.ndarray, iterations: int = 100) -> float:
-    n = G.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for _ in range(iterations):
-        w = _matvec(G, v)
-        # math.sqrt, like np.sqrt, is correctly rounded
-        norm = math.sqrt(float(_add(w * w)))
-        if norm <= 0.0:
-            return lam
-        v = w / norm
-        lam = float(_add(v * _matvec(G, v)))
-    return lam
+def _kkt_system(G: np.ndarray, b: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Solve [2 G_FF, 1; 1^T, 0] z = [2 b_F; 1] for z = (x, nu), or find its null direction.
+
+    Gaussian elimination with partial pivoting (first row on ties) in
+    elementwise numpy and pairwise sums, with no LAPACK or BLAS, so the
+    bits of z do not depend on the linear-algebra build. Returns (z, False)
+    for the solution. When a pivot is exactly 0 the system is singular and
+    this returns (z, True) with z != 0 and the matrix times z equal to 0:
+    the objective is then linear along z's x part on {theta_F . 1 = 1}.
+    Returns None on a non-finite pivot.
+    """
+    k = F.shape[0]
+    A = np.empty((k + 1, k + 2))
+    A[:k, :k] = 2.0 * G[F[:, None], F]
+    A[:k, k] = 1.0
+    A[k, :k] = 1.0
+    A[k, k] = 0.0
+    A[:k, k + 1] = 2.0 * b[F]
+    A[k, k + 1] = 1.0
+    z = np.zeros(k + 1)
+    rhs, top = A[:, k + 1], k + 1
+    for c in range(k + 1):
+        p = c + int(abs(A[c:, c]).argmax())
+        if p != c:
+            A[[c, p]] = A[[p, c]]
+        pivot = float(A[c, c])
+        if not math.isfinite(pivot):
+            return None
+        if pivot == 0.0:
+            # column c is 0 from row c down: z_c = 1, and rows above fix z_0 .. z_{c-1}
+            z[c] = 1.0
+            rhs, top = np.zeros(k + 1), c
+            break
+        A[c + 1 :, c:] -= (A[c + 1 :, c] / pivot)[:, None] * A[c, c:]
+    for i in range(top - 1, -1, -1):
+        z[i] = (rhs[i] - float(_add(A[i, i + 1 : k + 1] * z[i + 1 :]))) / A[i, i]
+    return z, top <= k
+
+
+def _kkt_residual(G: np.ndarray, b: np.ndarray, theta: np.ndarray) -> float:
+    step = theta - (2.0 * _matvec(G, theta) - 2.0 * b)
+    if not np.isfinite(step).all():
+        return math.inf
+    gap = theta - project_simplex(step)
+    return math.sqrt(float(_add(gap * gap)))
 
 
 def solve(p: SimplexQPProblem, tol: float = 1e-10, max_iter: int = 50000) -> SimplexQPSolution:
-    """Accelerated projected-gradient minimization of theta^T G theta - 2 b^T theta on the simplex.
+    """Minimize theta^T G theta - 2 b^T theta on the simplex with an active-set (Wolfe) solver.
 
-    FISTA (Beck & Teboulle 2009) with a monotone function-value restart
-    (O'Donoghue & Candes 2015): starts from the uniform vector and steps by
-    1/L with L = 2 * lambda_max(G) (power iteration, 100 rounds, fixed start
-    1/sqrt(n)) from an extrapolated point. When that momentum step would
-    raise the objective beyond rounding noise, the momentum is dropped and
-    the plain 1/L step is taken from the last accepted iterate instead, so
-    the accepted objective does not increase. Stops when a step moves its
-    base point by at most `tol`. The returned kkt_residual is
+    The primal active-set method in Gram form, which is Wolfe's (1976)
+    min-norm-point algorithm. It starts at the vertex that minimizes
+    G_ii - 2 b_i (lowest index on ties) with support F = {i}. A major cycle
+    solves the KKT system of the objective on {theta_F . 1 = 1}; when every
+    entry of its solution x is positive, theta = x, and with the multipliers
+    m = 2 G theta - 2 b + nu the method stops if min_{i not in F} m_i >=
+    -tol * (1 + |nu|), or else adds the most negative index (lowest on
+    ties) to F. When some entry of x is not positive, a minor cycle steps
+    from theta toward x until the first entry reaches 0 (lowest index on
+    ties) and drops it from F. A singular system, which needs b outside the
+    range of G, gives a direction along which the objective falls linearly;
+    the minor cycle then follows it to the first zero. `iterations` counts
+    both kinds of cycle. The returned kkt_residual is
     || theta - project(theta - grad f(theta)) ||, zero exactly at a minimizer.
     """
     G, b = p.G, p.b
     n = p.n
-    lam = _lambda_max_power(G)
-    L = 2.0 * lam
-    if L <= 1e-12:
-        # objective is (numerically) linear; a huge step jumps straight to a vertex
-        L = 1e-12
-    b2 = 2.0 * b
-
-    def step(v: np.ndarray) -> np.ndarray:
-        return project_simplex(v - (2.0 * _matvec(G, v) - b2) / L)
-
-    theta = np.full(n, 1.0 / n)
-    obj = misfit(G, b, theta, 0.0)
-    y = theta
-    t = 1.0
+    k = int((G.diagonal() - 2.0 * b).argmin())
+    on = np.zeros(n, dtype=bool)
+    on[k] = True
+    theta = np.zeros(n)
+    theta[k] = 1.0
+    obj = math.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        base = y
-        theta_new = step(base)
-        obj_new = misfit(G, b, theta_new, 0.0)
-        if obj_new > obj + _RESTART_SLACK * (1.0 + abs(obj)) and base is not theta:
-            # restart: the momentum step went uphill, take the plain step instead
-            base = theta
-            theta_new = step(base)
-            obj_new = misfit(G, b, theta_new, 0.0)
-            t = 1.0
-        if __debug__:
-            assert obj_new <= obj + 1e-9 * (1.0 + abs(obj)), (
-                f"objective increased at iteration {it}: {obj} -> {obj_new}"
+        F = on.nonzero()[0]
+        system = _kkt_system(G, b, F)
+        if system is None:
+            kkt = _kkt_residual(G, b, theta)
+            raise SimplexQPError(
+                f"non-finite pivot in the KKT system at cycle {it} (kkt residual {kkt:.3e})",
+                theta=theta,
+                kkt_residual=kkt,
+                iterations=it,
             )
-        moved = theta_new - base
-        disp = math.sqrt(float(_add(moved * moved)))
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = theta_new + ((t - 1.0) / t_new) * (theta_new - theta) if t > 1.0 else theta_new
-        theta, obj, t = theta_new, obj_new, t_new
-        if disp <= tol:
-            converged = True
-            break
-    grad = 2.0 * _matvec(G, theta) - b2
-    gap = theta - project_simplex(theta - grad)
-    kkt = math.sqrt(float(_add(gap * gap)))
+        z, singular = system
+        x, nu = z[:-1], float(z[-1])
+        t = theta[F]
+        if singular:
+            slope = float(_add((2.0 * _matvec(G, theta) - 2.0 * b)[F] * x))
+            v = x if slope <= 0.0 else -x
+            hit = v < 0.0
+        elif (x > 0.0).all():
+            theta = np.zeros(n)
+            theta[F] = x
+            if __debug__:
+                obj_new = misfit(G, b, theta, 0.0)
+                assert obj_new <= obj + 1e-9 * (1.0 + abs(obj_new)), (
+                    f"objective increased at cycle {it}: {obj} -> {obj_new}"
+                )
+                obj = obj_new
+            m = 2.0 * _matvec(G, theta) - 2.0 * b + nu
+            m[F] = math.inf
+            j = int(m.argmin())
+            if m[j] >= -tol * (1.0 + abs(nu)):
+                converged = True
+                break
+            on[j] = True
+            continue
+        else:
+            v = x - t
+            hit = x <= 0.0
+        # minor cycle: theta_F >= 0, so each hit entry reaches 0 at the step
+        # ratio t / -v (0 when t = v = 0), at most 1 toward x and unbounded
+        # along a null direction, which always has a negative entry
+        w = -v
+        ratio = np.where(hit, t / np.where(w > 0.0, w, 1.0), math.inf)
+        r = int(ratio.argmin())
+        theta[F] = t + ratio[r] * v
+        theta[F[r]] = 0.0
+        on[F[r]] = False
+    kkt = _kkt_residual(G, b, theta)
     if not converged:
         raise SimplexQPError(
-            f"accelerated projected gradient did not converge in {max_iter} iterations "
-            f"(kkt residual {kkt:.3e})",
+            f"active-set solver did not converge in {max_iter} cycles (kkt residual {kkt:.3e})",
             theta=theta,
             kkt_residual=kkt,
             iterations=it,
         )
     return SimplexQPSolution(
         theta=theta,
-        objective=obj,
+        objective=misfit(G, b, theta, 0.0),
         kkt_residual=kkt,
         iterations=it,
     )

@@ -223,6 +223,32 @@ class TestEvaluate:
         assert "folds" in capsys.readouterr().err
 
 
+def test_simulate_and_evaluate_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 12 ms of each process; np.percentile and
+    # np.setdiff1d import it (through np.unique), as np.isin does on some
+    # inputs, and a fresh interpreter shows whether any of them ran
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO_JSON))
+    data, out = tmp_path / "data", tmp_path / "eval"
+    code = (
+        "import sys\n"
+        "from distreg.cli import main\n"
+        f"assert main(['simulate', '--scenario', {str(scenario)!r}, '--out', {str(data)!r}]) == 0\n"
+        "print('after simulate:', 'numpy.ma' in sys.modules)\n"
+        f"assert main(['evaluate', '--data', {str(data)!r}, '--out', {str(out)!r},"
+        " '--folds', '2', '--seed', '0', '--n-samples', '40']) == 0\n"
+        "print('after evaluate:', 'numpy.ma' in sys.modules)\n"
+    )
+    path = [str(Path(distreg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert lines == ["after simulate: False", "after evaluate: False"]
+
+
 class TestMalformedJourneys:
     @pytest.mark.parametrize(
         "row, message",

@@ -769,6 +769,8 @@ GOLDEN_SCENARIOS = {
 # (numpy 2.4, x86-64). `train/model.json`, `predict/theta.csv` and
 # `predict/prediction.json` were re-recorded when self inner products began to
 # sum one triangle of the Gram: their floats moved in the last digits.
+# `predict/theta.csv` was re-recorded again when the simplex QP became an
+# active-set method: theta moved by 1e-8 at the same objective.
 CLI_SCENARIO = dict(
     topology="grid", n_nodes=12, days=10, n_disruptions=4, phi=0.8, rate_low=0.8,
     rate_high=1.6, window_min=80, window_max=140, seed=11,
@@ -786,7 +788,7 @@ CLI_DIGESTS = {
     "evaluate/scores.csv": "4f8ad1875bbd622ae8ab055e9b6b3f7da0f4c402b8eb8b0bdfa4b414d4681d41",
     "predict/prediction.json": "b3e9986932baafe68bd3607d0af96fef5f8e1f643271007570ee80452bf97946",
     "predict/samples.csv": "20ac6f911a43f858c97bb55dd0a900e9c3da846f80ec17facf7504345590f33d",
-    "predict/theta.csv": "76d8a3ab98fb95260f98dd06c7329c2c717e679f4685a9d673f64d2cdd18de3a",
+    "predict/theta.csv": "66aa29dbd209355cb7c87d8115dd2be570b2059a667175c2d944e855683277d3",
     "score/scores.csv": "4f8ad1875bbd622ae8ab055e9b6b3f7da0f4c402b8eb8b0bdfa4b414d4681d41",
     "train/model.json": "ac34a833b5d70df6aa6e41568367b35239f7c85f89010b73e27e985a5ad998f8",
 }

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distreg import GAUSSIAN, KernelConfig, evaluation, kernels, pipeline
 from distreg.data_io import SyntheticScenario, generate_synthetic
@@ -228,6 +230,32 @@ class TestSilvermanH:
     def test_degenerate_column_falls_back(self):
         h = silverman_h(np.zeros((5, 1)))
         assert h[0] == pytest.approx(0.5)  # sigma falls back to 1
+        assert silverman_h(np.array([[1.0], [np.nan], [3.0]]))[0] == 0.5
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        col=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf]) | st.floats(allow_nan=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_quartiles_match_percentile_bit_for_bit(self, col):
+        # the same bits as np.percentile's linear method (NaN where it gives
+        # NaN, from infinities) except the sign of a zero: np.percentile
+        # partitions, np.sort sorts, and the two may order -0.0 and 0.0
+        # differently; silverman_h only compares the quartiles' difference
+        # with 0, which is blind to that sign
+        col = np.array(col)
+        ordered = np.sort(col)
+        with np.errstate(invalid="ignore"):
+            want = np.percentile(col, [75, 25])
+            got = [evaluation._linear_quantile(ordered, q) for q in (0.75, 0.25)]
+        for g, w in zip(got, want):
+            if math.isnan(w) or w == 0.0:
+                assert math.isnan(g) if math.isnan(w) else g == 0.0
+            else:
+                assert np.float64(g).tobytes() == w.tobytes()
 
 
 def small_dataset(seed=0, phi=0.8, n_disruptions=4):

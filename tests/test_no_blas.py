@@ -7,9 +7,11 @@ one machine to the next. Every reduction in `distreg` therefore sums with
 `oracles.py` (brute-force reference code, never on a program path) and
 fails on the `@` operator and on calls to numpy's product functions.
 
-LAPACK solves and decompositions (`np.linalg.*`) are out of its scope:
-they act on the small Gram systems, whose results are not pinned bit for
-bit.
+LAPACK solves and decompositions (`np.linalg.*`) act on the small Gram
+systems, whose results are not pinned bit for bit, with one exception: the
+simplex QP's solutions are pinned, so `simplex_qp.py` may use `np.linalg`
+only in `SimplexQPProblem.__post_init__`, whose PSD check does not reach
+the solution's bits.
 """
 
 import ast
@@ -40,6 +42,24 @@ def blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def linalg_uses(tree: ast.AST, scope: str = "") -> list[tuple[int, str]]:
+    """(line, enclosing `Class.function`) for every np.linalg / numpy.linalg in the tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += linalg_uses(node, f"{scope}.{node.name}" if scope else node.name)
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, scope))
+        found += linalg_uses(node, scope)
+    return sorted(found)
+
+
 def test_sources_found():
     assert {"kernels.py", "regression.py", "sampler.py", "simplex_qp.py"} <= {p.name for p in SOURCES}
 
@@ -66,3 +86,24 @@ def test_detector_catches(code, line, what):
 def test_detector_ignores_text_and_sums():
     tree = ast.parse('"""c = coeff @ v"""\nx = np.sum(G * v[None, :], axis=1)\ny = np.linalg.solve(G, b)')
     assert blas_uses(tree) == []
+
+
+def test_solver_path_has_no_lapack():
+    path = Path(distreg.__file__).parent / "simplex_qp.py"
+    scopes = {scope for _, scope in linalg_uses(ast.parse(path.read_text(), filename=str(path)))}
+    assert scopes == {"SimplexQPProblem.__post_init__"}
+
+
+def test_linalg_detector_names_the_scope():
+    code = (
+        "import numpy as np\n"
+        "class P:\n"
+        "    def check(self):\n"
+        "        return np.linalg.eigvalsh(self.G)\n"
+        "def solve(G, b):\n"
+        "    f = numpy.linalg.solve\n"
+        "    return f(G, b)\n"
+        "x = np.linalg.norm([1.0])\n"
+    )
+    assert linalg_uses(ast.parse(code)) == [(4, "P.check"), (6, "solve"), (8, "")]
+    assert linalg_uses(ast.parse('"""np.linalg.solve"""\ny = np.add.reduce(x)')) == []
