@@ -12,7 +12,6 @@ projection-based KKT certificate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +29,6 @@ __all__ = [
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-8
-# A momentum step may raise the objective by this much relative to 1 + |f|
-# before it counts as uphill. Near the minimum the change per step falls
-# below the rounding noise of evaluating f; restarting on that noise drops
-# the momentum over and over and stalls the method at the plain-step rate.
-_RESTART_SLACK = 1e-15
 
 
 class SimplexQPError(RuntimeError):
@@ -125,26 +119,15 @@ def project_simplex(v) -> np.ndarray:
         raise ValueError("cannot project an empty vector")
     if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite input")
-    # the solver projects thousands of small vectors per evaluate, so this
-    # calls the array methods directly rather than numpy's Python wrappers
     u = v[(-v).argsort(kind="stable")]
     css = u.cumsum()
-    k = int(((u - (css - 1.0) / _ramp(n)) > 0.0).nonzero()[0][-1])  # index 0 always qualifies
+    ramp = np.arange(1, n + 1, dtype=np.float64)
+    k = int(((u - (css - 1.0) / ramp) > 0.0).nonzero()[0][-1])  # index 0 always qualifies
     tau = (float(css[k]) - 1.0) / (k + 1.0)
     return np.maximum(v - tau, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _ramp(n: int) -> np.ndarray:
-    """Read-only float64 vector 1, 2, ..., n."""
-    j = np.arange(1, n + 1, dtype=np.float64)
-    j.flags.writeable = False
-    return j
-
-
-# np.sum forwards to this, bit for bit, after about 1.4 us of argument
-# handling (numpy 2.4), which the QP's thousands of small sums per evaluate
-# would pay each time
+# np.sum without its Python wrapper: the same reduction, bit for bit
 _add = np.add.reduce
 
 
