@@ -423,5 +423,7 @@ def write_metrics_csv(path: Path, records: Sequence[EvalRecord]) -> None:
 
 
 def _write_density_csv(path: Path, y: np.ndarray, p_model: np.ndarray, p_base: np.ndarray) -> None:
-    rows = ([fmt_float(yi), fmt_float(pm), fmt_float(pb)] for yi, pm, pb in zip(y, p_model, p_base))
+    # lists of Python floats: iterating the arrays would box each value as an np.float64
+    columns = zip(y.tolist(), p_model.tolist(), p_base.tolist())
+    rows = ([fmt_float(yi), fmt_float(pm), fmt_float(pb)] for yi, pm, pb in columns)
     write_csv(path, ["y", "p_model", "p_baseline"], rows)

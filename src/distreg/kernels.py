@@ -6,24 +6,26 @@ reduces to a Gram computation over the stored samples, so all algebra is
 exact up to floating point.
 
 Reductions avoid BLAS on purpose: distances accumulate over feature axes
-in a fixed order, and an inner product sums each row of the weighted
-Gram pairwise over all of its columns, then sums the weighted row sums
-pairwise again. A self product, `inner(a, a)`, computes only the strictly
-lower triangle of its symmetric Gram: row i is summed as a full row of n
-values with exact zeros from column i on, of whose pairwise summation
-tree only the parts holding the triangle are computed, and the diagonal,
-exactly 1, enters as sum_i w_i (w_i + 2 r_i). The rows are computed a
-cache-sized block at a time, and the row blocks are split by work across
-one worker thread per usable CPU, each with its own buffers. Neither the
-block height nor the number of workers affects any bit: the summation
-tree depends only on the shapes, so repeated runs give bit-identical
-results on any machine.
+in a fixed order, and one engine, `_block_row_sums`, computes every
+kernel block of an inner product <a, b>. It weights a block's columns by
+b's weights and sums each row pairwise over one column segment per
+column embedding; the entry is then sum_i w_i r_i, pairwise again. A
+self product, whose segment's columns are the row embedding's own
+samples, uses only the strictly lower triangle of its symmetric Gram:
+row i is summed as a full row with exact zeros from column i on, and
+the diagonal, exactly 1, enters as sum_i w_i (w_i + 2 r_i). The
+summation tree depends only on the shapes, so repeated runs give
+bit-identical results on any machine. The engine has two callers:
 
-A Gram of embedding inner products, `embedding_gram`, whose stacked rows
-times stacked columns fit in one block, is filled from one kernel block
-per row embedding against all of its columns, with no `inner` call; each
-entry is summed as `inner` sums it and has its bits. A larger Gram calls
-`inner` once per entry.
+- `inner` sums one segment over cache-sized row blocks, split by work
+  across one worker thread per usable CPU, each with its own buffers; a
+  self product runs `_triangle_blocks`, which compute only the parts of
+  each row's pairwise summation tree that hold the triangle. Neither the
+  block height nor the number of workers affects any bit.
+- `embedding_gram`, when its stacked rows times stacked columns fit in
+  one block, runs one block per row embedding against the stacked
+  columns, one segment each, so every entry has the bits of `inner`
+  without an `inner` call. A larger Gram calls `inner` once per entry.
 
 The bandwidth median, `median_pairwise_distance`, comes in two parts so
 that a caller can keep the costly one: `distance_run` sorts one pool's
@@ -311,23 +313,29 @@ class _SmallUfuncBuffer:
             np.setbufsize(self.old)
 
 
+# np.sum without its Python wrapper: the same reduction, bit for bit
+_add = np.add.reduce
+
+
 def _block_row_sums(
     k: KernelConfig,
     X: np.ndarray,
     Y: np.ndarray,
     wb: np.ndarray,
     blocks: Sequence[tuple[int, int, int, int]],
+    segments: Sequence[tuple[int, int, bool]],
     row_sums: np.ndarray,
-    triangle: bool,
 ) -> None:
-    """Fill row_sums[i0:i1] for each block (i0, i1, cols, width), in order.
+    """Fill row_sums[s, i0:i1] for each block (i0, i1, cols, width), in order,
+    and each column segment s = (c0, c1, own).
 
     The block's rows get wb_j k(X_i, Y_j) in columns j < cols and exact
-    zeros from there up to `width`; with `triangle`, also in every column
-    j >= i of row i. Each row is summed pairwise over its `width` values.
-    One block buffer and one per-axis scratch buffer of its own, 64-byte
-    aligned when they are larger than numpy's ufunc buffer, are reused by
-    every block of the run.
+    zeros from there up to `width`. Row i of segment s sums its columns
+    c0..min(c1, width) - 1 pairwise; an `own` segment, whose columns are
+    the samples of the row embedding itself, first zeroes them from column
+    c0 + i on. One block buffer and one per-axis scratch buffer of its
+    own, 64-byte aligned when they are larger than numpy's ufunc buffer,
+    are reused by every block of the run.
     """
     size = max((i1 - i0) * width for i0, i1, _, width in blocks)
     # blocks that fit in numpy's default ufunc buffer gain nothing from aligned buffers
@@ -344,10 +352,12 @@ def _block_row_sums(
             scratch = None if tmp is None else tmp[: h * cols].reshape(h, cols)
             _kernel_matrix(k, X[i0:i1], Y[:cols], block, scratch)
             np.multiply(block, wb[:cols], out=block)
-            if triangle:
-                rows[:, cols:] = 0.0
-                np.copyto(rows[:, i0:cols], 0.0, where=_diagonal_mask(h, cols - i0))
-            np.sum(rows, axis=1, out=row_sums[i0:i1])
+            rows[:, cols:] = 0.0
+            for s, (c0, c1, own) in enumerate(segments):
+                if own:
+                    end = min(c1, cols)
+                    np.copyto(rows[:, c0 + i0 : end], 0.0, where=_diagonal_mask(h, end - c0 - i0))
+                _add(rows[:, c0 : min(c1, width)], axis=1, out=row_sums[s, i0:i1])
 
 
 def _row_sums(
@@ -356,9 +366,9 @@ def _row_sums(
     Y: np.ndarray,
     wb: np.ndarray,
     blocks: list[tuple[int, int, int, int]],
-    triangle: bool,
+    segments: list[tuple[int, int, bool]],
 ) -> np.ndarray:
-    """Row sums of `_block_row_sums` over all blocks, split across the usable CPUs.
+    """Row sums of `_block_row_sums`, one row per segment, split across the usable CPUs.
 
     The blocks are cut into one contiguous run per worker, w = min(usable
     CPUs, blocks), by work: laid end to end, a block goes to the run of
@@ -367,12 +377,12 @@ def _row_sums(
     costs. The calling thread computes the first run and a pool of w - 1
     threads, joined before this returns, the others; numpy releases the
     GIL inside each block's ufuncs. Each row is summed within one block,
-    so w changes no bit.
+    so w changes no bit. A single block asks for no CPU count.
     """
-    row_sums = np.empty(X.shape[0])
-    workers = min(_usable_cpus(), len(blocks))
+    row_sums = np.empty((len(segments), X.shape[0]))
+    workers = min(_usable_cpus(), len(blocks)) if len(blocks) > 1 else 1
     if workers == 1:
-        _block_row_sums(k, X, Y, wb, blocks, row_sums, triangle)
+        _block_row_sums(k, X, Y, wb, blocks, segments, row_sums)
         return row_sums
     work = [(i1 - i0) * (2 * cols + width) for i0, i1, cols, width in blocks]
     total = sum(work)
@@ -390,47 +400,23 @@ def _row_sums(
 
     with ThreadPoolExecutor(len(runs) - 1) as pool:
         futures = [
-            pool.submit(_block_row_sums, k, X, Y, wb, run, row_sums, triangle)
+            pool.submit(_block_row_sums, k, X, Y, wb, run, segments, row_sums)
             for run in runs[1:]
         ]
-        _block_row_sums(k, X, Y, wb, runs[0], row_sums, triangle)
+        _block_row_sums(k, X, Y, wb, runs[0], segments, row_sums)
         for future in futures:
             future.result()
     return row_sums
 
 
-def _weighted_kernel_sum(
-    k: KernelConfig, X: np.ndarray, wa: np.ndarray, Y: np.ndarray, wb: np.ndarray
-) -> float:
-    """sum_ij wa_i wb_j k(X_i, Y_j) without materializing the full Gram.
+def _entry(w: np.ndarray, r: np.ndarray, own: bool) -> float:
+    """<a, b> from a's weights w and its row sums r against b, reduced pairwise.
 
-    Each row of the weighted Gram is summed by numpy's pairwise summation
-    over all of its columns, and the weighted row sums reduce pairwise
-    again, so the summation tree is a fixed function of the shapes alone.
-    Rows are computed in blocks of about `_BLOCK_ELEMS` elements, split
-    across the usable CPUs by `_row_sums`. Neither the block height nor the
-    number of workers changes any bit of the result. `inner` sends a self
-    product to `_self_kernel_sum` instead, which computes one triangle.
+    sum_i w_i r_i; for a self product, whose row sums leave out the
+    diagonal k(x, x) = exp(-0) = 1 of both families and every column
+    after it, sum_i w_i (w_i + 2 r_i).
     """
-    n, m = X.shape[0], Y.shape[0]
-    rows = min(n, max(1, _BLOCK_ELEMS // m))
-    blocks = [(i0, min(i0 + rows, n), m, m) for i0 in range(0, n, rows)]
-    return float(np.sum(wa * _row_sums(k, X, Y, wb, blocks, False)))
-
-
-def _self_kernel_sum(k: KernelConfig, X: np.ndarray, w: np.ndarray) -> float:
-    """sum_ij w_i w_j k(X_i, X_j) from the strictly lower triangle of the Gram.
-
-    The diagonal is exactly 1 (k(x, x) = exp(-0) for both families), so
-    the sum is sum_i w_i (w_i + 2 r_i) with r_i = sum_{j<i} w_j k(X_i, X_j).
-    Each r_i is numpy's pairwise sum of the full row of n values with exact
-    zeros in columns j >= i; the all-zero right parts of its summation
-    tree are skipped (`_pairwise_widths`), so only the triangle and a few
-    zeros past it are computed. The r_i reduce pairwise as above. The bits
-    depend on n alone, never on the block height or the number of workers.
-    """
-    r = _row_sums(k, X, X, w, _triangle_blocks(X.shape[0]), True)
-    return float(np.sum(w * (w + 2.0 * r)))
+    return float(_add(w * (w + 2.0 * r) if own else w * r))
 
 
 def eval_kernel(k: KernelConfig, x, y) -> float:
@@ -468,16 +454,22 @@ def _check_compatible(a: Embedding, b: Embedding) -> None:
 def inner(a: Embedding, b: Embedding) -> float:
     """RKHS inner product <a, b> = w_a^T G w_b over the two sample sets.
 
-    A self product, `inner(a, a)` on one object, sums only the strictly
-    lower triangle of its symmetric Gram (`_self_kernel_sum`); its bits may
-    differ in the last places from `inner(a, b)` with b an equal copy.
+    One column segment over all of b's samples, in row blocks of about
+    `_BLOCK_ELEMS` values split across worker threads (`_row_sums`). A
+    self product, `inner(a, a)` on one object, computes only the strictly
+    lower triangle of its symmetric Gram, in `_triangle_blocks`; its bits
+    may differ in the last places from `inner(a, b)` with b an equal copy.
     """
     _check_compatible(a, b)
-    if a is b:
-        return _self_kernel_sum(a.kernel, a.sample_set.samples, a.weights)
-    return _weighted_kernel_sum(
-        a.kernel, a.sample_set.samples, a.weights, b.sample_set.samples, b.weights
-    )
+    n, m, own = len(a.weights), len(b.weights), a is b
+    if own:
+        blocks = _triangle_blocks(n)
+    else:
+        height = min(n, max(1, _BLOCK_ELEMS // m))
+        blocks = [(i0, min(i0 + height, n), m, m) for i0 in range(0, n, height)]
+    X, Y = a.sample_set.samples, b.sample_set.samples
+    r = _row_sums(a.kernel, X, Y, b.weights, blocks, [(0, m, own)])
+    return _entry(a.weights, r[0], own)
 
 
 def embedding_gram(
@@ -488,11 +480,12 @@ def embedding_gram(
     Every entry has the bits of `inner(rows_i, cols_j)`, a self product
     (rows_i is cols_j) included; the symmetric Gram computes the entries
     with j >= i and mirrors them. When the stacked rows times the stacked
-    columns fit in one `_BLOCK_ELEMS` block, the entries come from one
-    `_kernel_matrix` block per row embedding, against all its columns
-    (`_one_block_gram`), and no `inner` call is made. A larger Gram makes
-    one call to the module-level `inner` per entry, which splits each
-    product into row blocks and across threads.
+    columns fit in one `_BLOCK_ELEMS` block, each row embedding is one
+    block against the stacked samples of its columns (j >= i when
+    symmetric), with one column segment per column embedding, and no
+    `inner` call is made. A larger Gram makes one call to the module-level
+    `inner` per entry, which splits each product into row blocks and
+    across threads.
     """
     symmetric = cols is None
     rows = tuple(rows)
@@ -501,56 +494,30 @@ def embedding_gram(
     if not rows or not cols:
         return G
     stacked = sum(len(e.weights) for e in rows) * sum(len(e.weights) for e in cols)
-    if stacked <= _BLOCK_ELEMS:
-        _one_block_gram(rows, cols, symmetric, G)
+    if stacked > _BLOCK_ELEMS:
+        for i, a in enumerate(rows):
+            for j in range(i if symmetric else 0, len(cols)):
+                G[i, j] = inner(a, cols[j])
+                if symmetric:
+                    G[j, i] = G[i, j]
         return G
-    for i, a in enumerate(rows):
-        for j in range(i if symmetric else 0, len(cols)):
-            G[i, j] = inner(a, cols[j])
-            if symmetric:
-                G[j, i] = G[i, j]
-    return G
-
-
-# np.sum without its Python wrapper: the same reduction, bit for bit
-_add = np.add.reduce
-
-
-def _one_block_gram(
-    rows: tuple[Embedding, ...], cols: tuple[Embedding, ...], symmetric: bool, G: np.ndarray
-) -> None:
-    """Fill G (zeros) with <rows_i, cols_j>, the bits of `inner`, from one block per row.
-
-    Row embedding i gets one `_kernel_matrix` block against the stacked
-    samples of all its columns (those with j >= i when `symmetric`), each
-    column weighted by its embedding's weights. The block's columns of
-    embedding j are then the one block that `inner(rows_i, cols_j)`
-    computes, and each of its rows, contiguous along the summed axis, sums
-    pairwise as there; a self product zeroes its entries j >= i first and
-    reduces as `_self_kernel_sum` does.
-    """
     for e in rows if symmetric else (*rows, *cols):
         _check_compatible(rows[0], e)
-    k = rows[0].kernel
     Y = np.concatenate([e.sample_set.samples for e in cols])
     wy = np.concatenate([e.weights for e in cols])
     starts = np.cumsum([0, *(len(e.weights) for e in cols)]).tolist()
     for i, a in enumerate(rows):
         j0 = i if symmetric else 0
-        c0 = starts[j0]
-        w = a.weights
-        with _SmallUfuncBuffer(len(w) * (starts[-1] - c0)):
-            block = _kernel_matrix(k, a.sample_set.samples, Y[c0:])
-            np.multiply(block, wy[c0:], out=block)
-        for j in range(j0, len(cols)):
-            part = block[:, starts[j] - c0 : starts[j + 1] - c0]
-            if cols[j] is a:
-                np.copyto(part, 0.0, where=_diagonal_mask(*part.shape))
-                G[i, j] = float(_add(w * (w + 2.0 * _add(part, axis=1))))
-            else:
-                G[i, j] = float(_add(w * _add(part, axis=1)))
+        c0, span = starts[j0], starts[-1] - starts[j0]
+        js = range(j0, len(cols))
+        segments = [(starts[j] - c0, starts[j + 1] - c0, cols[j] is a) for j in js]
+        block = [(0, len(a.weights), span, span)]
+        r = _row_sums(a.kernel, a.sample_set.samples, Y[c0:], wy[c0:], block, segments)
+        for j, (_, _, own), r_j in zip(js, segments, r):
+            G[i, j] = _entry(a.weights, r_j, own)
             if symmetric:
                 G[j, i] = G[i, j]
+    return G
 
 
 def mmd2(a: Embedding, b: Embedding) -> float:
@@ -706,8 +673,11 @@ def rho_from_median(m: float, family: str) -> float:
     gaussian: rho = 1 / (2 m^2) with m a Euclidean distance;
     laplace:  rho = 1 / m with m an l1 distance.
     A median of 0, which holds when at least half of the pairwise
-    distances are zero (not only when every sample is the same), is refused.
+    distances are zero (not only when every sample is the same), is refused,
+    and so is one that is not finite (distances past the float range).
     """
+    if not np.isfinite(m):
+        raise ValueError(f"median pairwise distance is {m}, not finite; pass an explicit rho")
     if m <= 0.0:
         raise ValueError(
             "median pairwise distance is zero (at least half of the pairwise distances "

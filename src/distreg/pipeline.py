@@ -420,6 +420,12 @@ def _basis_rows(
         raise ValueError("no natural traffic at any ROI station; basis would be degenerate")
     R = cfg.rescale_levels
     C = cfg.rescale_span * mean_max / (R - 1)
+    # the largest basis value; when C (R - 1) overflows, lambda_1 = 1 + 0 inf is NaN too
+    if not math.isfinite((1.0 + (R - 1) * C) * float(np.max(totals))):
+        raise ValueError(
+            f"basis levels overflow: c = {cfg.rescale_span!r} with R = {R} and largest mean "
+            f"ROI total {mean_max!r} scales ROI totals past the float range; use a smaller c"
+        )
     # one allocation, so an R too large for memory fails here, before any work
     try:
         blocks = np.zeros((R * m, n_days, m))

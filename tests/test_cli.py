@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -438,6 +439,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert rc == 2 and not out.exists()
         assert f"bad.txt line 2: bad {key} value" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_overflowing_basis_levels_exit_2_naming_c(self, dataset, tmp_path, capsys, command):
+        # C (R - 1) overflows, so lambda_1 = 1 + 0 inf is NaN: the refusal must
+        # come from the basis and name c, before any distance turns NaN
+        _, _, data = dataset
+        shutil.copytree(data, tmp_path / "data")
+        config = tmp_path / "data" / "config.txt"
+        text = config.read_text()
+        assert "\nc = 1.5\n" in text
+        config.write_text(text.replace("\nc = 1.5\n", "\nc = 1e308\n"))
+        argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        argv += ["--folds", "2"] if command == "evaluate" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_cli(argv, capsys)
+        assert rc == 2 and "Traceback" not in err
+        assert err.startswith("error: basis levels overflow: c = 1e+308 with R = 5")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestNoNaturalDays:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distreg import GAUSSIAN, LAPLACE, SampleSet, embed
+from distreg.kernels import rho_from_median
 from distreg.network import Disruption, Graph, disrupted_adjacency, feasible_origins
 from distreg.pipeline import (
     DayCounts,
@@ -400,6 +401,13 @@ class TestResolveRho:
         assert reference_median([np.vstack((x, v)) for x, v, _ in parts], family) != want
         assert resolve_rho(days, obs, G5, cfg) == reference_rho(want, family)
 
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE])
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_median_refused(self, family, m):
+        # an overflowed distance would give rho = 1 / inf = 0, a bandwidth that names no cause
+        with pytest.raises(ValueError, match="not finite; pass an explicit rho"):
+            rho_from_median(m, family)
+
     def test_degenerate_traffic_rejected(self):
         # no ROI traffic at all: the basis (and hence the pooled scale) is degenerate
         days = [day_counts(d, [(0, 3, 30, 1)]) for d in range(3)]
@@ -444,6 +452,13 @@ class TestBuildBasis:
     def test_zero_traffic_rejected(self):
         with pytest.raises(ValueError, match="traffic"):
             build_basis(SampleSet(np.zeros((3, 2))), Z, InterferenceConfig(rho=0.05))
+
+    @pytest.mark.parametrize("span", [1e308, 1e307], ids=["levels", "rows"])
+    def test_overflowing_levels_rejected(self, span):
+        # 1e308: C (R - 1) is inf and lambda_1 NaN; 1e307: lambda_R = 3.25e307 is
+        # finite, lambda_R times the largest total (7) is not
+        with pytest.raises(ValueError, match=r"basis levels overflow: c = 1e\+30[78] with R = 5"):
+            build_basis(X3, Z, InterferenceConfig(rho=0.05, rescale_span=span))
 
 
 class TestPredict:
